@@ -1,6 +1,7 @@
 #!/bin/sh
 # Project correctness gate: octo_lint + the registry/schema sync tests,
-# plus clang-tidy over src/ when available.  Run from anywhere:
+# the golden step signatures (ctest label `golden`), plus clang-tidy over
+# src/ when available.  Run from anywhere:
 #
 #   tools/check.sh [BUILD_DIR]      # default build dir: ./build
 #
@@ -25,6 +26,10 @@ cmake --build "$build_dir" --target lint_test metrics_test -- -j >/dev/null
 "$build_dir/tests/lint_test" --gtest_brief=1
 "$build_dir/tests/metrics_test" \
   --gtest_filter='Metrics.SchemaMatchesCsvJsonlAndDocs' --gtest_brief=1
+
+echo "== golden step signatures =="
+cmake --build "$build_dir" --target golden_step_test -- -j >/dev/null
+"$build_dir/tests/golden_step_test" --gtest_brief=1
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy (bugprone/concurrency/performance) =="
