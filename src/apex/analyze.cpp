@@ -133,15 +133,19 @@ std::vector<step_record> load_metrics_jsonl(const std::string& path) {
 }
 
 std::vector<utilization_row> compute_utilization(const loaded_trace& t) {
+  // Busy time is the union of a timeline's span intervals: spans nest
+  // (amt.task wraps gravity.m2l), so summing durations counts the nested
+  // time twice and reads over 100%.
   std::map<std::pair<int, int>, utilization_row> rows;
+  std::map<std::pair<int, int>, std::vector<std::pair<double, double>>> ivals;
   double t_min = 0, t_max = 0;
   bool any = false;
   for (const trace_span& s : t.spans) {
     auto& row = rows[{s.pid, s.tid}];
     row.pid = s.pid;
     row.tid = s.tid;
-    row.busy_us += s.dur_us;
     ++row.spans;
+    ivals[{s.pid, s.tid}].emplace_back(s.ts_us, s.ts_us + s.dur_us);
     if (!any || s.ts_us < t_min) t_min = s.ts_us;
     if (!any || s.ts_us + s.dur_us > t_max) t_max = s.ts_us + s.dur_us;
     any = true;
@@ -150,6 +154,14 @@ std::vector<utilization_row> compute_utilization(const loaded_trace& t) {
   std::vector<utilization_row> out;
   out.reserve(rows.size());
   for (auto& [key, row] : rows) {
+    auto& iv = ivals[key];
+    std::sort(iv.begin(), iv.end());
+    double end = iv.front().first;
+    for (const auto& [b, e] : iv) {
+      if (e <= end) continue;
+      row.busy_us += e - std::max(b, end);
+      end = e;
+    }
     const auto name = t.thread_names.find(key);
     if (name != t.thread_names.end()) row.name = name->second;
     row.utilization = window > 0 ? row.busy_us / window : 0;

@@ -54,7 +54,8 @@ loaded_trace load_chrome_trace(const std::string& path);
 /// missing keys zero).  Throws octo::error on IO or parse failure.
 std::vector<step_record> load_metrics_jsonl(const std::string& path);
 
-/// Busy time aggregated per (pid, tid) timeline.
+/// Busy time per (pid, tid) timeline: the union of its span intervals, so
+/// nested spans count once and utilization never exceeds 1.
 struct utilization_row {
   int pid = 0;
   int tid = 0;

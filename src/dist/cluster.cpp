@@ -1,10 +1,8 @@
 #include "dist/cluster.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -13,25 +11,20 @@
 
 #include "amt/future.hpp"
 #include "apex/apex.hpp"
-#include "apex/critical_path.hpp"
-#include "apex/dag.hpp"
 #include "apex/flow.hpp"
 #include "apex/race_audit.hpp"
 #include "apex/trace.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/log.hpp"
 #include "common/stopwatch.hpp"
 #include "dist/serialize.hpp"
 
 namespace octo::dist {
 
-using grid::subgrid;
-
 cluster::cluster(const scen::scenario& sc, dist_options opt,
                  exec::amt_space space)
-    : scenario_(sc), opt_(opt), space_(space) {
+    : step_engine(space), scenario_(sc), opt_(opt) {
   OCTO_CHECK(opt_.num_localities >= 1);
   // OCTO_TRACE naming an existing directory selects the distributed-trace
   // workflow (a file path keeps the plain single-trace behaviour the apex
@@ -134,43 +127,21 @@ void cluster::write_cluster_report(std::ostream& os) const {
 }
 
 void cluster::initialize() {
-  topo_ = std::make_unique<tree::topology>(
+  opt_.sim.hydro.omega = scenario_.omega;
+  auto topo = std::make_unique<tree::topology>(
       scenario_.domain_half, opt_.sim.max_level, scenario_.refine);
   // Seed the first partition with the static cost estimate (cells x depth)
   // rather than an empty cost vector: uniform-cost splits hand the refined
   // region's concentrated work to whichever locality the Morton curve
   // visits last, and until the first rebalance that misjudgment is the
   // whole run's balance.
-  part_ = tree::partition_sfc(*topo_, opt_.num_localities,
-                              tree::static_leaf_costs(*topo_));
-  grav_ = std::make_unique<gravity::fmm_solver>(*topo_, opt_.sim.gravity);
-  opt_.sim.hydro.omega = scenario_.omega;
-
-  grids_.clear();
-  grids_.reserve(static_cast<std::size_t>(topo_->num_nodes()));
-  for (index_t n = 0; n < topo_->num_nodes(); ++n)
-    grids_.emplace_back(topo_->center(n), topo_->cell_width(n));
-
-  const auto& leaves = topo_->leaves();
-  leaf_slot_.assign(static_cast<std::size_t>(topo_->num_nodes()), -1);
-  stage0_.clear();
-  stage0_.reserve(leaves.size());
-  for (std::size_t s = 0; s < leaves.size(); ++s) {
-    leaf_slot_[static_cast<std::size_t>(leaves[s])] =
-        static_cast<index_t>(s);
-    stage0_.emplace_back(topo_->center(leaves[s]),
-                         topo_->cell_width(leaves[s]));
-  }
-
-  leaves_by_level_.assign(static_cast<std::size_t>(topo_->max_depth()) + 1,
-                          {});
-  for (const index_t l : leaves)
-    leaves_by_level_[static_cast<std::size_t>(topo_->node(l).level)]
-        .push_back(l);
+  part_ = tree::partition_sfc(*topo, opt_.num_localities,
+                              tree::static_leaf_costs(*topo));
+  build_mesh(std::move(topo));
 
   locality_alive_.assign(static_cast<std::size_t>(opt_.num_localities), 1);
   monitor_.reset(opt_.num_localities);
-  cost_model_.reset(opt_.lb.measuring() ? leaves.size() : 0,
+  cost_model_.reset(opt_.lb.measuring() ? topo_->leaves().size() : 0,
                     opt_.lb.ewma_alpha);
   rebalance_count_ = 0;
   rebalances_skipped_ = 0;
@@ -181,14 +152,7 @@ void cluster::initialize() {
   // baseline the per-step deltas on its current cumulative counters.
   last_transport_stats_ = transport_statistics();
 
-  if (scenario_.prepare) scenario_.prepare();
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t l : leaves)
-      futs.push_back(amt::async([this, l] { scenario_.init(grids_[l]); },
-                                space_.runtime()));
-    amt::wait_all(futs, space_.runtime());
-  }
+  fill_initial_data(scenario_);
 
   // Reset the integration clock: re-initialize() is the from-scratch
   // restart path of run_with_checkpoints when no valid checkpoint exists.
@@ -198,20 +162,13 @@ void cluster::initialize() {
   replicas_.clear();
   replica_holder_.clear();
 
-  exchange_ghosts();
-  if (opt_.sim.self_gravity) solve_gravity();
-  dt_ = opt_.sim.fixed_dt > 0 ? opt_.sim.fixed_dt : compute_dt();
+  rederive();
   initialized_ = true;
   update_replicas();
 
   // Arm the SDC auditor: seal the initial state so the very first step can
   // already verify it was read back uncorrupted.
-  auditor_ = app::invariant_auditor(opt_.sim.audit);
-  sdc_audits_ = sdc_detected_ = sdc_retries_ = sdc_rollbacks_ = 0;
-  if (auditor_.enabled()) {
-    auditor_.resize(topo_->num_nodes());
-    sdc_seal_all();
-  }
+  arm_auditor();
 }
 
 void cluster::rebuild_channels() {
@@ -281,16 +238,6 @@ void cluster::update_replicas() {
   amt::wait_all(futs, rt);
 }
 
-grid::subgrid& cluster::leaf(index_t node) {
-  OCTO_ASSERT(topo_->node(node).leaf);
-  return grids_[node];
-}
-
-const grid::subgrid& cluster::leaf(index_t node) const {
-  OCTO_ASSERT(topo_->node(node).leaf);
-  return grids_[node];
-}
-
 namespace {
 /// Apex counters mirroring exchange_stats — the measured series behind
 /// Fig. 8 (serialized-vs-direct ghost-slab traffic).
@@ -312,261 +259,149 @@ exchange_counters& counters() {
 }
 }  // namespace
 
-void cluster::exchange_ghosts() {
-  const apex::scoped_trace_span trace_span("dist.exchange_ghosts");
+bool cluster::has_leaf_links(index_t l) const {
+  for (int d = 0; d < NNEIGHBOR; ++d) {
+    const index_t nb = topo_->neighbor(l, d);
+    if (nb != tree::invalid_node && topo_->node(nb).leaf) return true;
+  }
+  return false;
+}
+
+void cluster::send_slabs(index_t l, xfer_counts& counts) {
+  const apex::scoped_trace_span span("dist.exchange.send");
+  const apex::cost_scope cost(cost_model_ptr(),
+                              static_cast<std::size_t>(leaf_slot_[l]));
+  for (int d = 0; d < NNEIGHBOR; ++d) {
+    const index_t nb = topo_->neighbor(l, d);
+    if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
+    // The receiver nb sees us in the opposite direction.
+    const int rd = tree::dir_opposite(d);
+    const int link = static_cast<int>(leaf_slot_[nb]) * NNEIGHBOR + rd;
+    auto& ch = *channels_[static_cast<std::size_t>(link)];
+    const bool same_loc = owner(l) == owner(nb);
+    if (same_loc && opt_.local_optimization) {
+      boundary_msg msg;
+      msg.direct = true;
+      msg.src = &grids_[l];
+      ch.send(std::move(msg));
+      counts.ld.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    std::vector<real> slab;
+    grids_[l].pack_for_neighbor(d, slab);
+    oarchive ar;
+    ar.put(static_cast<std::int32_t>(rd));
+    ar.put_vector(slab);
+    ar.seal();
+    std::vector<std::uint8_t> bytes = ar.take();
+    // Transit-corruption hook: may bit-flip or truncate the sealed buffer;
+    // the receiver's unseal() must catch it.
+    if (fault::injector::instance().ghost_slab_hook(bytes))
+      apex::registry::instance().add(counters().faults);
+    counts.by.fetch_add(bytes.size(), std::memory_order_relaxed);
+    (same_loc ? counts.ls : counts.rm).fetch_add(1, std::memory_order_relaxed);
+    if (transport_) {
+      // Reliable path: sequence/ack/retry through the lossy network;
+      // blocks (helping the scheduler) until acked.
+      auto sink = channels_[static_cast<std::size_t>(link)];
+      transport_->send(link, owner(l), owner(nb), std::move(bytes),
+                       [sink](std::vector<std::uint8_t> payload) {
+                         boundary_msg msg;
+                         msg.bytes = std::move(payload);
+                         sink->send(std::move(msg));
+                       });
+    } else {
+      boundary_msg msg;
+      msg.bytes = std::move(bytes);
+      ch.send(std::move(msg));
+    }
+  }
+}
+
+void cluster::unpack_slab(index_t l, int d, boundary_msg msg) {
+  const apex::scoped_trace_span span("dist.exchange.unpack");
+  const apex::cost_scope cost(cost_model_ptr(),
+                              static_cast<std::size_t>(leaf_slot_[l]));
+  if (msg.direct) {
+    grids_[l].copy_ghost_direct(d, *msg.src);
+    return;
+  }
+  iarchive ar(std::move(msg.bytes));
+  ar.unseal("serialized ghost slab");
+  const auto rd = ar.get<std::int32_t>();
+  OCTO_CHECK(rd == d);
+  const auto slab = ar.get_vector<real>();
+  grids_[l].unpack_from_neighbor(d, slab.data(),
+                                 static_cast<index_t>(slab.size()));
+}
+
+void cluster::fold_exchange_counts(const xfer_counts& counts) {
+  const std::uint64_t ld = counts.ld.load(), ls = counts.ls.load(),
+                      rm = counts.rm.load(), by = counts.by.load();
+  stats_.local_direct += ld;
+  stats_.local_serialized += ls;
+  stats_.remote_messages += rm;
+  stats_.bytes_serialized += by;
+  // Mirror the deltas into apex counters so the Fig. 8 traffic split is
+  // visible in any registry report.
+  auto& reg = apex::registry::instance();
+  reg.add(counters().local_direct, ld);
+  reg.add(counters().local_serialized, ls);
+  reg.add(counters().remote, rm);
+  reg.add(counters().bytes, by);
+}
+
+void cluster::exchange_leaf_pairs() {
   auto& rt = space_.runtime();
+  xfer_counts counts;
+  // Senders: one task per leaf.
+  std::vector<amt::future<void>> send_futs;
+  for (const index_t l : topo_->leaves())
+    send_futs.push_back(
+        amt::async([this, l, &counts] { send_slabs(l, counts); }, rt));
 
-  // Phase 1: restriction into interior sub-grids (barrier per level).
-  for (int lvl = topo_->max_depth() - 1; lvl >= 0; --lvl) {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : topo_->nodes_at_level(lvl)) {
-      if (topo_->node(n).leaf) continue;
-      futs.push_back(amt::async(
-          [this, n] {
-            const auto& nd = topo_->node(n);
-            for (int oct = 0; oct < NCHILD; ++oct)
-              grid::restrict_to_coarse(grids_[nd.children[oct]], oct,
-                                       grids_[n]);
-          },
+  // Receivers: unpack continuations chained on the channel futures.
+  std::vector<amt::future<void>> recv_futs;
+  for (const index_t l : topo_->leaves()) {
+    for (int d = 0; d < NNEIGHBOR; ++d) {
+      const index_t nb = topo_->neighbor(l, d);
+      if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
+      auto& ch = *channels_[static_cast<std::size_t>(
+          leaf_slot_[l] * NNEIGHBOR + d)];
+      recv_futs.push_back(ch.receive().then(
+          [this, l, d](boundary_msg msg) { unpack_slab(l, d, std::move(msg)); },
           rt));
     }
-    amt::wait_all(futs, rt);
   }
-
-  // Phase 2a: interior same-level copies + physical boundaries (barrier).
-  {
-    std::vector<amt::future<void>> futs;
-    for (index_t n = 0; n < topo_->num_nodes(); ++n) {
-      futs.push_back(amt::async(
-          [this, n] {
-            const bool is_leaf = topo_->node(n).leaf;
-            for (int d = 0; d < NNEIGHBOR; ++d) {
-              const index_t nb = topo_->neighbor(n, d);
-              if (nb != tree::invalid_node) {
-                // Leaf-to-leaf pairs go through the channels below.
-                if (!(is_leaf && topo_->node(nb).leaf))
-                  grids_[n].copy_ghost_direct(d, grids_[nb]);
-              } else {
-                const auto ncode = tree::code_neighbor(
-                    topo_->node(n).code, tree::directions()[d]);
-                if (!ncode) grids_[n].fill_ghost_outflow(d);
-              }
-            }
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 2b: leaf-to-leaf exchange through channels (barrier-free).
-  {
-    std::atomic<std::uint64_t> ld{0}, ls{0}, rm{0}, by{0};
-    // Senders: one task per owned leaf.
-    std::vector<amt::future<void>> send_futs;
-    for (const index_t l : topo_->leaves()) {
-      send_futs.push_back(amt::async(
-          [this, l, &ld, &ls, &rm, &by] {
-            const apex::scoped_trace_span span("dist.exchange.send");
-            const apex::cost_scope cost(
-                cost_model_ptr(), static_cast<std::size_t>(leaf_slot_[l]));
-            for (int d = 0; d < NNEIGHBOR; ++d) {
-              const index_t nb = topo_->neighbor(l, d);
-              if (nb == tree::invalid_node || !topo_->node(nb).leaf)
-                continue;
-              // The receiver nb sees us in the opposite direction.
-              const int rd = tree::dir_opposite(d);
-              auto& ch = *channels_[static_cast<std::size_t>(
-                  leaf_slot_[nb] * NNEIGHBOR + rd)];
-              const bool same_loc = owner(l) == owner(nb);
-              if (same_loc && opt_.local_optimization) {
-                boundary_msg msg;
-                msg.direct = true;
-                msg.src = &grids_[l];
-                ch.send(std::move(msg));
-                ld.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                std::vector<real> slab;
-                grids_[l].pack_for_neighbor(d, slab);
-                oarchive ar;
-                ar.put(static_cast<std::int32_t>(rd));
-                ar.put_vector(slab);
-                ar.seal();
-                std::vector<std::uint8_t> bytes = ar.take();
-                // Transit-corruption hook: may bit-flip or truncate the
-                // sealed buffer; the receiver's unseal() must catch it.
-                if (fault::injector::instance().ghost_slab_hook(bytes))
-                  apex::registry::instance().add(counters().faults);
-                by.fetch_add(bytes.size(), std::memory_order_relaxed);
-                if (same_loc)
-                  ls.fetch_add(1, std::memory_order_relaxed);
-                else
-                  rm.fetch_add(1, std::memory_order_relaxed);
-                const int link =
-                    static_cast<int>(leaf_slot_[nb]) * NNEIGHBOR + rd;
-                if (transport_) {
-                  // Reliable path: sequence/ack/retry through the lossy
-                  // network; blocks (helping the scheduler) until acked.
-                  auto sink = channels_[static_cast<std::size_t>(link)];
-                  transport_->send(
-                      link, owner(l), owner(nb), std::move(bytes),
-                      [sink](std::vector<std::uint8_t> payload) {
-                        boundary_msg msg;
-                        msg.bytes = std::move(payload);
-                        sink->send(std::move(msg));
-                      });
-                } else {
-                  boundary_msg msg;
-                  msg.bytes = std::move(bytes);
-                  ch.send(std::move(msg));
-                }
-              }
-            }
-          },
-          rt));
-    }
-
-    // Receivers: unpack continuations chained on the channel futures.
-    std::vector<amt::future<void>> recv_futs;
-    for (const index_t l : topo_->leaves()) {
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(l, d);
-        if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
-        auto& ch = *channels_[static_cast<std::size_t>(
-            leaf_slot_[l] * NNEIGHBOR + d)];
-        recv_futs.push_back(ch.receive().then(
-            [this, l, d](boundary_msg msg) {
-              const apex::scoped_trace_span span("dist.exchange.unpack");
-              const apex::cost_scope cost(
-                  cost_model_ptr(), static_cast<std::size_t>(leaf_slot_[l]));
-              if (msg.direct) {
-                grids_[l].copy_ghost_direct(d, *msg.src);
-              } else {
-                iarchive ar(std::move(msg.bytes));
-                ar.unseal("serialized ghost slab");
-                const auto rd = ar.get<std::int32_t>();
-                OCTO_CHECK(rd == d);
-                const auto slab = ar.get_vector<real>();
-                grids_[l].unpack_from_neighbor(
-                    d, slab.data(), static_cast<index_t>(slab.size()));
-              }
-            },
-            rt));
+  // get_all (not wait_all): an unseal() checksum failure in any unpack
+  // continuation must surface here, not vanish into a dropped future.
+  try {
+    amt::get_all(send_futs, rt);
+  } catch (...) {
+    // A reliable send gave up (retries exhausted / peer dead): slabs that
+    // will never arrive would leave unpack continuations pending forever —
+    // the seed's lost-message deadlock.  Break every channel so the
+    // pending receives fail fast, then *drain with get_all semantics*: an
+    // unseal() checksum failure that already happened in an unpack
+    // continuation surfaces instead of being swallowed by a bare wait;
+    // only the broken_channel noise from the close above is filtered out.
+    // Hand the next attempt fresh channels, then rethrow.
+    for (auto& ch : channels_) ch->close();
+    std::exception_ptr unpack_err;
+    for (auto& f : recv_futs) {
+      try {
+        f.get(rt);
+      } catch (const amt::broken_channel&) {
+      } catch (...) {
+        if (!unpack_err) unpack_err = std::current_exception();
       }
     }
-    // get_all (not wait_all): an unseal() checksum failure in any unpack
-    // continuation must surface here, not vanish into a dropped future.
-    try {
-      amt::get_all(send_futs, rt);
-    } catch (...) {
-      // A reliable send gave up (retries exhausted / peer dead): slabs
-      // that will never arrive would leave unpack continuations pending
-      // forever — the seed's lost-message deadlock.  Break every channel
-      // so the pending receives fail fast, then *drain with get_all
-      // semantics*: an unseal() checksum failure that already happened in
-      // an unpack continuation surfaces instead of being swallowed by a
-      // bare wait; only the broken_channel noise from the close above is
-      // filtered out.  Hand the next attempt fresh channels, then rethrow.
-      for (auto& ch : channels_) ch->close();
-      std::exception_ptr unpack_err;
-      for (auto& f : recv_futs) {
-        try {
-          f.get(rt);
-        } catch (const amt::broken_channel&) {
-        } catch (...) {
-          if (!unpack_err) unpack_err = std::current_exception();
-        }
-      }
-      rebuild_channels();
-      if (unpack_err) std::rethrow_exception(unpack_err);
-      throw;
-    }
-    amt::get_all(recv_futs, rt);
-    stats_.local_direct += ld.load();
-    stats_.local_serialized += ls.load();
-    stats_.remote_messages += rm.load();
-    stats_.bytes_serialized += by.load();
-    // Mirror this exchange's deltas into apex counters so the Fig. 8
-    // traffic split is visible in any registry report.
-    auto& reg = apex::registry::instance();
-    reg.add(counters().local_direct, ld.load());
-    reg.add(counters().local_serialized, ls.load());
-    reg.add(counters().remote, rm.load());
-    reg.add(counters().bytes, by.load());
+    rebuild_channels();
+    if (unpack_err) std::rethrow_exception(unpack_err);
+    throw;
   }
-
-  // Phase 3: coarse-to-fine prolongation (barrier per level).
-  for (std::size_t lvl = 0; lvl < leaves_by_level_.size(); ++lvl) {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : leaves_by_level_[lvl]) {
-      futs.push_back(amt::async(
-          [this, n] {
-            const auto& nd = topo_->node(n);
-            for (int d = 0; d < NNEIGHBOR; ++d) {
-              if (nd.neighbors[d] != tree::invalid_node) continue;
-              const index_t host = topo_->neighbor_or_coarser(n, d);
-              if (host == tree::invalid_node) continue;
-              grid::fill_ghost_from_coarse(
-                  grids_[n], tree::code_coords(nd.code), d, grids_[host],
-                  tree::code_coords(topo_->node(host).code));
-            }
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-}
-
-void cluster::solve_gravity() {
-  for (const index_t l : topo_->leaves()) {
-    const apex::cost_scope cost(cost_model_ptr(),
-                                static_cast<std::size_t>(leaf_slot_[l]));
-    grav_->set_leaf_from_subgrid(l, grids_[l]);
-  }
-  grav_->solve(space_);
-}
-
-real cluster::compute_dt() {
-  real vmax = 0;
-  for (const index_t l : topo_->leaves()) {
-    const real v = hydro::max_signal_speed(grids_[l], opt_.sim.hydro);
-    vmax = std::max(vmax, v / topo_->cell_width(l));
-  }
-  OCTO_CHECK(vmax > 0);
-  return opt_.sim.cfl / vmax;
-}
-
-void cluster::hydro_stage(real dt, real ca, real cb) {
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : topo_->leaves()) {
-    futs.push_back(amt::async(
-        [this, l, dt, ca, cb] {
-          const apex::cost_scope cost(
-              cost_model_ptr(), static_cast<std::size_t>(leaf_slot_[l]));
-#if OCTO_EOS_GUARDS
-          hydro::eos_guard().leaf = static_cast<long>(l);
-#endif
-          static thread_local hydro::workspace ws;
-          static thread_local std::vector<real> dudt;
-          dudt.assign(static_cast<std::size_t>(hydro::dudt_size), 0);
-          subgrid& u = grids_[l];
-          hydro::flux_divergence(u, opt_.sim.hydro, ws, dudt);
-          if (opt_.sim.self_gravity) {
-            hydro::add_sources(u, opt_.sim.hydro, grav_->gx(l).data(),
-                               grav_->gy(l).data(), grav_->gz(l).data(),
-                               dudt);
-          } else {
-            hydro::add_sources(u, opt_.sim.hydro, nullptr, nullptr, nullptr,
-                               dudt);
-          }
-          hydro::apply_dudt(u, dudt, dt);
-          if (cb != 1)
-            hydro::stage_blend(u, stage0_[leaf_slot_[l]], ca, cb);
-          hydro::apply_floors_and_sync_tau(u, opt_.sim.hydro.gas);
-        },
-        rt));
-  }
-  amt::wait_all(futs, rt);
+  amt::get_all(recv_futs, rt);
+  fold_exchange_counts(counts);
 }
 
 void cluster::detect_locality_failures() {
@@ -604,60 +439,18 @@ void cluster::detect_locality_failures() {
   if (!dead.empty()) throw locality_failure(dead);
 }
 
-void cluster::step_barrier(real dt, double& exchange_s, double& gravity_s,
-                           double& hydro_s) {
-  const auto timed_phase = [](double& acc, auto&& fn) {
-    const stopwatch w;
-    fn();
-    acc += w.seconds();
-  };
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t l : topo_->leaves())
-      futs.push_back(amt::async(
-          [this, l] { stage0_[leaf_slot_[l]] = grids_[l]; },
-          space_.runtime()));
-    amt::wait_all(futs, space_.runtime());
-  }
-
-  const std::pair<real, real> stages[] = {
-      {0, 1}, {real(0.75), real(0.25)}, {real(1) / 3, real(2) / 3}};
-  for (const auto& [ca, cb] : stages) {
-    timed_phase(hydro_s, [&] { hydro_stage(dt, ca, cb); });
-    timed_phase(exchange_s, [&] { exchange_ghosts(); });
-    if (opt_.sim.self_gravity)
-      timed_phase(gravity_s, [&] { solve_gravity(); });
-  }
-}
-
 void cluster::step_graph(real dt) {
   using sf = amt::shared_future<void>;
   auto& rt = space_.runtime();
   const auto nn = static_cast<std::size_t>(topo_->num_nodes());
   const auto& leaves = topo_->leaves();
   const std::size_t nlinks = leaves.size() * NNEIGHBOR;
-
-  // Prolongation relations (fine leaf <-> coarser leaf host).
-  std::vector<std::vector<index_t>> phosts(nn), pclients(nn);
-  for (const index_t l : leaves) {
-    const auto& nd = topo_->node(l);
-    for (int d = 0; d < NNEIGHBOR; ++d) {
-      if (nd.neighbors[d] != tree::invalid_node) continue;
-      const index_t host = topo_->neighbor_or_coarser(l, d);
-      if (host == tree::invalid_node) continue;
-      auto& hs = phosts[static_cast<std::size_t>(l)];
-      if (std::find(hs.begin(), hs.end(), host) == hs.end()) {
-        hs.push_back(host);
-        pclients[static_cast<std::size_t>(host)].push_back(l);
-      }
-    }
-  }
+  const auto link_of = [this](index_t l, int d) {
+    return static_cast<std::size_t>(leaf_slot_[l] * NNEIGHBOR + d);
+  };
 
   // Exchange statistics, accumulated lock-free by the send tasks and
   // folded in after the drain.
-  struct xfer_counts {
-    std::atomic<std::uint64_t> ld{0}, ls{0}, rm{0}, by{0};
-  };
   auto counts = std::make_shared<xfer_counts>();
 
   // Failure latch: the first task that resolves with an exception closes
@@ -683,17 +476,13 @@ void cluster::step_graph(real dt) {
     return f;
   };
 
-  const real CA[3] = {0, real(0.75), real(1) / 3};
-  const real CB[3] = {1, real(0.25), real(2) / 3};
-
   // u0 snapshot (step entry is a resolved point).
   std::vector<sf> snap(nn);
   for (const index_t l : leaves)
     snap[static_cast<std::size_t>(l)] = track(amt::dataflow(
         "snapshot",
         apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::stage0, l),
-        [this, l] { stage0_[leaf_slot_[l]] = grids_[l]; },
-        std::vector<sf>{}, rt));
+        [this, l] { save_stage0(l); }, std::vector<sf>{}, rt));
 
   std::vector<sf> prevH(nn), prevR(nn), prevC(nn), prevP(nn), prevD(nn),
       prevSend(nn);
@@ -702,7 +491,7 @@ void cluster::step_graph(real dt) {
   bool have_gprev = false;
 
   for (int s = 0; s < 3; ++s) {
-    const real ca = CA[s], cb = CB[s];
+    const real ca = app::rk3_ca[s], cb = app::rk3_cb[s];
     std::vector<sf> H(nn), R(nn), C(nn), P(nn), D(nn), SEND(nn);
     std::vector<sf> UNP(nlinks);
     // Per-stage message slots: arrivals stash here, unpack tasks consume.
@@ -728,13 +517,11 @@ void cluster::step_graph(real dt) {
           if (nb == tree::invalid_node) continue;
           if (topo_->node(nb).leaf) {
             // Own leaf-leaf ghosts arrived and unpacked last stage...
-            deps.push_back(prevUnp[static_cast<std::size_t>(
-                leaf_slot_[l] * NNEIGHBOR + d)]);
+            deps.push_back(prevUnp[link_of(l, d)]);
             // ...and for direct-token pairs the neighbor finished reading
             // our owned cells (its unpack copies straight from grids_[l]).
             if (owner(l) == owner(nb) && opt_.local_optimization)
-              deps.push_back(prevUnp[static_cast<std::size_t>(
-                  leaf_slot_[nb] * NNEIGHBOR + tree::dir_opposite(d))]);
+              deps.push_back(prevUnp[link_of(nb, tree::dir_opposite(d))]);
           } else {
             deps.push_back(prevC[static_cast<std::size_t>(nb)]);
           }
@@ -743,41 +530,13 @@ void cluster::step_graph(real dt) {
         const index_t par = topo_->node(l).parent;
         if (par != tree::invalid_node)
           deps.push_back(prevR[static_cast<std::size_t>(par)]);
-        for (const index_t f : pclients[li])
+        for (const index_t f : pclients_[li])
           deps.push_back(prevP[static_cast<std::size_t>(f)]);
         if (prevD[li].valid()) deps.push_back(prevD[li]);
       }
-      apex::access_set hfp;
-      hfp.w(apex::rgn::field, l)
-          .r(apex::rgn::ghost, l)
-          .r(apex::rgn::stage0, l);
-      if (opt_.sim.self_gravity) hfp.r(apex::rgn::gout, l);
       H[li] = track(amt::dataflow(
-          "hydro-RK", std::move(hfp), [this, l, dt, ca, cb] {
-            const apex::scoped_trace_span span("dist.hydro.leaf");
-            const apex::cost_scope cost(
-                cost_model_ptr(), static_cast<std::size_t>(leaf_slot_[l]));
-#if OCTO_EOS_GUARDS
-            hydro::eos_guard().leaf = static_cast<long>(l);
-#endif
-            static thread_local hydro::workspace ws;
-            static thread_local std::vector<real> dudt;
-            dudt.assign(static_cast<std::size_t>(hydro::dudt_size), 0);
-            subgrid& u = grids_[l];
-            hydro::flux_divergence(u, opt_.sim.hydro, ws, dudt);
-            if (opt_.sim.self_gravity) {
-              hydro::add_sources(u, opt_.sim.hydro, grav_->gx(l).data(),
-                                 grav_->gy(l).data(), grav_->gz(l).data(),
-                                 dudt);
-            } else {
-              hydro::add_sources(u, opt_.sim.hydro, nullptr, nullptr,
-                                 nullptr, dudt);
-            }
-            hydro::apply_dudt(u, dudt, dt);
-            if (cb != 1)
-              hydro::stage_blend(u, stage0_[leaf_slot_[l]], ca, cb);
-            hydro::apply_floors_and_sync_tau(u, opt_.sim.hydro.gas);
-          },
+          "hydro-RK", hydro_footprint(l),
+          [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); },
           std::move(deps), rt));
     }
 
@@ -799,21 +558,12 @@ void cluster::step_graph(real dt) {
           const index_t par = topo_->node(n).parent;
           if (par != tree::invalid_node)
             deps.push_back(prevR[static_cast<std::size_t>(par)]);
-          for (const index_t f : pclients[ni])
+          for (const index_t f : pclients_[ni])
             deps.push_back(prevP[static_cast<std::size_t>(f)]);
         }
-        apex::access_set rfp;
-        rfp.w(apex::rgn::field, n);
-        for (int oct = 0; oct < NCHILD; ++oct)
-          rfp.r(apex::rgn::field, topo_->node(n).children[oct]);
-        R[ni] = track(amt::dataflow(
-            "restrict", std::move(rfp), [this, n] {
-              const auto& nd = topo_->node(n);
-              for (int oct = 0; oct < NCHILD; ++oct)
-                grid::restrict_to_coarse(grids_[nd.children[oct]], oct,
-                                         grids_[n]);
-            },
-            std::move(deps), rt));
+        R[ni] = track(amt::dataflow("restrict", restrict_footprint(n),
+                                    [this, n] { restrict_node(n); },
+                                    std::move(deps), rt));
       }
     }
 
@@ -833,38 +583,12 @@ void cluster::step_graph(real dt) {
         deps.push_back(R[ni]);  // RAW: outflow reads the restricted interior
       if (s > 0) {
         if (prevC[ni].valid()) deps.push_back(prevC[ni]);
-        for (const index_t f : pclients[ni])
+        for (const index_t f : pclients_[ni])
           deps.push_back(prevP[static_cast<std::size_t>(f)]);
       }
-      apex::access_set cfp;
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(n, d);
-        if (nb != tree::invalid_node) {
-          if (!(is_leaf && topo_->node(nb).leaf))
-            cfp.r(apex::rgn::field, nb).w(apex::rgn::ghost, n, d);
-        } else {
-          const auto ncode = tree::code_neighbor(topo_->node(n).code,
-                                                 tree::directions()[d]);
-          if (!ncode)  // outflow fill reads the node's own interior
-            cfp.r(apex::rgn::field, n).w(apex::rgn::ghost, n, d);
-        }
-      }
-      C[ni] = track(amt::dataflow(
-          "copy", std::move(cfp), [this, n] {
-            const bool leaf2 = topo_->node(n).leaf;
-            for (int d = 0; d < NNEIGHBOR; ++d) {
-              const index_t nb = topo_->neighbor(n, d);
-              if (nb != tree::invalid_node) {
-                if (!(leaf2 && topo_->node(nb).leaf))
-                  grids_[n].copy_ghost_direct(d, grids_[nb]);
-              } else {
-                const auto ncode = tree::code_neighbor(
-                    topo_->node(n).code, tree::directions()[d]);
-                if (!ncode) grids_[n].fill_ghost_outflow(d);
-              }
-            }
-          },
-          std::move(deps), rt));
+      C[ni] = track(amt::dataflow("copy", copy_footprint(n),
+                                  [this, n] { copy_ghosts(n); },
+                                  std::move(deps), rt));
     }
 
     // Senders: one task per leaf with leaf-leaf links.  The edge on the
@@ -873,71 +597,14 @@ void cluster::step_graph(real dt) {
     // receiver's stage s-1 receive.
     for (const index_t l : leaves) {
       const auto li = static_cast<std::size_t>(l);
-      bool has_links = false;
-      for (int d = 0; d < NNEIGHBOR && !has_links; ++d) {
-        const index_t nb = topo_->neighbor(l, d);
-        has_links = nb != tree::invalid_node && topo_->node(nb).leaf;
-      }
-      if (!has_links) continue;
+      if (!has_leaf_links(l)) continue;
       std::vector<sf> deps;
       deps.push_back(H[li]);
       if (prevSend[li].valid()) deps.push_back(prevSend[li]);
       SEND[li] = track(amt::dataflow(
           "send", apex::access_set{}.r(apex::rgn::field, l),
-          [this, l, counts] {
-            const apex::scoped_trace_span span("dist.exchange.send");
-            const apex::cost_scope cost(
-                cost_model_ptr(), static_cast<std::size_t>(leaf_slot_[l]));
-            for (int d = 0; d < NNEIGHBOR; ++d) {
-              const index_t nb = topo_->neighbor(l, d);
-              if (nb == tree::invalid_node || !topo_->node(nb).leaf)
-                continue;
-              const int rd = tree::dir_opposite(d);
-              auto& ch = *channels_[static_cast<std::size_t>(
-                  leaf_slot_[nb] * NNEIGHBOR + rd)];
-              const bool same_loc = owner(l) == owner(nb);
-              if (same_loc && opt_.local_optimization) {
-                boundary_msg msg;
-                msg.direct = true;
-                msg.src = &grids_[l];
-                ch.send(std::move(msg));
-                counts->ld.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                std::vector<real> slab;
-                grids_[l].pack_for_neighbor(d, slab);
-                oarchive ar;
-                ar.put(static_cast<std::int32_t>(rd));
-                ar.put_vector(slab);
-                ar.seal();
-                std::vector<std::uint8_t> bytes = ar.take();
-                if (fault::injector::instance().ghost_slab_hook(bytes))
-                  apex::registry::instance().add(counters().faults);
-                counts->by.fetch_add(bytes.size(),
-                                     std::memory_order_relaxed);
-                if (same_loc)
-                  counts->ls.fetch_add(1, std::memory_order_relaxed);
-                else
-                  counts->rm.fetch_add(1, std::memory_order_relaxed);
-                const int link =
-                    static_cast<int>(leaf_slot_[nb]) * NNEIGHBOR + rd;
-                if (transport_) {
-                  auto sink = channels_[static_cast<std::size_t>(link)];
-                  transport_->send(
-                      link, owner(l), owner(nb), std::move(bytes),
-                      [sink](std::vector<std::uint8_t> payload) {
-                        boundary_msg msg;
-                        msg.bytes = std::move(payload);
-                        sink->send(std::move(msg));
-                      });
-                } else {
-                  boundary_msg msg;
-                  msg.bytes = std::move(bytes);
-                  ch.send(std::move(msg));
-                }
-              }
-            }
-          },
-          std::move(deps), rt));
+          [this, l, counts] { send_slabs(l, *counts); }, std::move(deps),
+          rt));
     }
 
     // Receivers: the channel arrival resolves a per-link future (stash via
@@ -949,8 +616,7 @@ void cluster::step_graph(real dt) {
       for (int d = 0; d < NNEIGHBOR; ++d) {
         const index_t nb = topo_->neighbor(l, d);
         if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
-        const std::size_t link =
-            static_cast<std::size_t>(leaf_slot_[l] * NNEIGHBOR + d);
+        const std::size_t link = link_of(l, d);
         sf arrival = channels_[link]->receive().then_inline(
             [slots, link](boundary_msg msg) {
               (*slots)[link] = std::move(msg);
@@ -961,7 +627,7 @@ void cluster::step_graph(real dt) {
         deps.push_back(H[li]);  // WAR: hydro read this ghost face
         if (s > 0) {
           if (prevUnp[link].valid()) deps.push_back(prevUnp[link]);
-          for (const index_t f : pclients[li])
+          for (const index_t f : pclients_[li])
             deps.push_back(prevP[static_cast<std::size_t>(f)]);
         }
         // Footprint: the ghost-face write only.  A direct-token unpack also
@@ -972,21 +638,7 @@ void cluster::step_graph(real dt) {
         UNP[link] = track(amt::dataflow(
             "unpack", apex::access_set{}.w(apex::rgn::ghost, l, d),
             [this, l, d, slots, link] {
-              const apex::scoped_trace_span span("dist.exchange.unpack");
-              const apex::cost_scope cost(
-                  cost_model_ptr(), static_cast<std::size_t>(leaf_slot_[l]));
-              boundary_msg msg = std::move((*slots)[link]);
-              if (msg.direct) {
-                grids_[l].copy_ghost_direct(d, *msg.src);
-              } else {
-                iarchive ar(std::move(msg.bytes));
-                ar.unseal("serialized ghost slab");
-                const auto rd = ar.get<std::int32_t>();
-                OCTO_CHECK(rd == d);
-                const auto slab = ar.get_vector<real>();
-                grids_[l].unpack_from_neighbor(
-                    d, slab.data(), static_cast<index_t>(slab.size()));
-              }
+              unpack_slab(l, d, std::move((*slots)[link]));
             },
             std::move(deps), rt));
       }
@@ -995,13 +647,13 @@ void cluster::step_graph(real dt) {
     // Coarse-to-fine prolongation: gated on the host's complete state
     // (owned cells, direct-copied ghosts, arrived leaf-leaf ghosts, and
     // the host's own coarse faces).
-    for (std::size_t lvl = 0; lvl < leaves_by_level_.size(); ++lvl) {
-      for (const index_t l : leaves_by_level_[lvl]) {
+    for (const auto& level : leaves_by_level_) {
+      for (const index_t l : level) {
         const auto li = static_cast<std::size_t>(l);
-        if (phosts[li].empty()) continue;
+        if (phosts_[li].empty()) continue;
         std::vector<sf> deps;
         deps.push_back(H[li]);
-        for (const index_t h : phosts[li]) {
+        for (const index_t h : phosts_[li]) {
           const auto hi = static_cast<std::size_t>(h);
           deps.push_back(content(h));
           deps.push_back(C[hi]);
@@ -1009,34 +661,15 @@ void cluster::step_graph(real dt) {
           for (int d = 0; d < NNEIGHBOR; ++d) {
             const index_t hnb = topo_->neighbor(h, d);
             if (hnb != tree::invalid_node && topo_->node(hnb).leaf)
-              deps.push_back(UNP[static_cast<std::size_t>(
-                  leaf_slot_[h] * NNEIGHBOR + d)]);
+              deps.push_back(UNP[link_of(h, d)]);
           }
         }
         if (s > 0)
-          for (const index_t f : pclients[li])
+          for (const index_t f : pclients_[li])
             deps.push_back(prevP[static_cast<std::size_t>(f)]);
-        apex::access_set pfp;
-        for (const index_t h : phosts[li])
-          pfp.r(apex::rgn::field, h).r(apex::rgn::ghost, h);
-        for (int d = 0; d < NNEIGHBOR; ++d) {
-          if (topo_->node(l).neighbors[d] != tree::invalid_node) continue;
-          if (topo_->neighbor_or_coarser(l, d) != tree::invalid_node)
-            pfp.w(apex::rgn::ghost, l, d);
-        }
-        P[li] = track(amt::dataflow(
-            "prolong", std::move(pfp), [this, l] {
-              const auto& nd = topo_->node(l);
-              for (int d = 0; d < NNEIGHBOR; ++d) {
-                if (nd.neighbors[d] != tree::invalid_node) continue;
-                const index_t host = topo_->neighbor_or_coarser(l, d);
-                if (host == tree::invalid_node) continue;
-                grid::fill_ghost_from_coarse(
-                    grids_[l], tree::code_coords(nd.code), d, grids_[host],
-                    tree::code_coords(topo_->node(host).code));
-              }
-            },
-            std::move(deps), rt));
+        P[li] = track(amt::dataflow("prolong", prolong_footprint(l),
+                                    [this, l] { prolong_leaf(l); },
+                                    std::move(deps), rt));
       }
     }
 
@@ -1051,12 +684,7 @@ void cluster::step_graph(real dt) {
         D[li] = track(amt::dataflow(
             "set-density",
             apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::moment, l),
-            [this, l] {
-              const apex::cost_scope cost(
-                  cost_model_ptr(), static_cast<std::size_t>(leaf_slot_[l]));
-              grav_->set_leaf_from_subgrid(l, grids_[l]);
-            },
-            std::move(deps), rt));
+            [this, l] { set_density(l); }, std::move(deps), rt));
         mom_ready[li] = D[li];
       }
       gravity::fmm_solver::solve_graph g = grav_->solve_dataflow(
@@ -1076,8 +704,7 @@ void cluster::step_graph(real dt) {
   }
 
   // dt reduction: per-leaf signal speeds as each leaf's final state
-  // settles; serial max-reduce after the drain matches compute_dt().
-  std::vector<real> vmax_slots(leaves.size(), 0);
+  // settles; the serial max-reduce runs after the drain.
   if (opt_.sim.fixed_dt <= 0) {
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       const index_t l = leaves[i];
@@ -1089,8 +716,7 @@ void cluster::step_graph(real dt) {
       for (int d = 0; d < NNEIGHBOR; ++d) {
         const index_t nb = topo_->neighbor(l, d);
         if (nb != tree::invalid_node && topo_->node(nb).leaf)
-          deps.push_back(prevUnp[static_cast<std::size_t>(
-              leaf_slot_[l] * NNEIGHBOR + d)]);
+          deps.push_back(prevUnp[link_of(l, d)]);
       }
       track(amt::dataflow(
           "dt-reduce",
@@ -1098,12 +724,7 @@ void cluster::step_graph(real dt) {
               .r(apex::rgn::field, l)
               .r(apex::rgn::ghost, l)
               .w(apex::rgn::dtred, static_cast<index_t>(i)),
-          [this, l, i, &vmax_slots] {
-            vmax_slots[i] =
-                hydro::max_signal_speed(grids_[l], opt_.sim.hydro) /
-                topo_->cell_width(l);
-          },
-          std::move(deps), rt));
+          [this, i] { store_leaf_signal(i); }, std::move(deps), rt));
     }
   }
 
@@ -1132,104 +753,7 @@ void cluster::step_graph(real dt) {
     rebuild_channels();
     std::rethrow_exception(first_nonchannel ? first_nonchannel : first);
   }
-
-  stats_.local_direct += counts->ld.load();
-  stats_.local_serialized += counts->ls.load();
-  stats_.remote_messages += counts->rm.load();
-  stats_.bytes_serialized += counts->by.load();
-  auto& reg = apex::registry::instance();
-  reg.add(counters().local_direct, counts->ld.load());
-  reg.add(counters().local_serialized, counts->ls.load());
-  reg.add(counters().remote, counts->rm.load());
-  reg.add(counters().bytes, counts->by.load());
-
-  if (opt_.sim.fixed_dt <= 0) {
-    real vmax = 0;
-    for (const real v : vmax_slots) vmax = std::max(vmax, v);
-    OCTO_CHECK(vmax > 0);
-    dt_ = opt_.sim.cfl / vmax;
-  }
-}
-
-void cluster::step_attempt(real dt, double& exchange_s, double& gravity_s,
-                           double& hydro_s) {
-  exchange_s = gravity_s = hydro_s = 0;
-  const bool dataflow = opt_.sim.mode == app::step_mode::dataflow;
-
-  // Injection + pre-read verification: any at-rest flip since the last
-  // step's seals — injected or real — trips here, before the state is read.
-  sdc_apply_bitflips(steps_ + 1);
-  if (auditor_.enabled()) {
-    const apex::scoped_timer audit_t(app::sdc_metrics().audit_timer);
-    sdc_verify_all();
-  }
-
-  // Task-graph profiling: record the step's dataflow DAG whenever someone
-  // is looking (a trace sink, a metrics sink, or the race auditor).  Off
-  // for plain runs, so the dataflow hot path stays one relaxed load.
-  const bool audit_dag = dataflow && opt_.sim.audit_races;
-  const bool record_dag =
-      dataflow && (apex::trace::enabled() || metrics_ != nullptr || audit_dag);
-  if (dataflow) {
-    if (record_dag) apex::dag_recorder::instance().begin_step();
-    try {
-      step_graph(dt);
-    } catch (...) {
-      // step_graph drained before rethrowing, so ending the recording
-      // here is safe; the partial graph is discarded.
-      if (record_dag) (void)apex::dag_recorder::instance().end_step();
-      throw;
-    }
-    if (record_dag) {
-      const apex::graph_profile graph =
-          apex::dag_recorder::instance().end_step();
-      if (audit_dag) apex::audit_step_or_throw(graph);
-      last_crit_ = apex::analyze_critical_path(graph);
-      apex::export_critical_path_counters(last_crit_);
-      have_crit_ = true;
-    }
-  } else {
-    step_barrier(dt, exchange_s, gravity_s, hydro_s);
-    // Re-evaluate the CFL condition on the evolved state (mirrors
-    // app::simulation::step(); dt_ previously stayed frozen at its
-    // initialize() value for the cluster's whole lifetime).
-    if (opt_.sim.fixed_dt <= 0) dt_ = compute_dt();
-  }
-
-  // Post-step audit (invariants at cadence) and fresh seals over the
-  // evolved state — retaken last, after every detector has passed, so a
-  // failed attempt leaves the pre-step seals intact.
-  if (auditor_.enabled()) {
-    const apex::scoped_timer audit_t(app::sdc_metrics().audit_timer);
-    sdc_audit_and_seal(dt_, steps_ + 1);
-    ++sdc_audits_;
-    apex::registry::instance().add(app::sdc_metrics().audits);
-  }
-}
-
-void cluster::sdc_retry(const cluster_snapshot& snap, real dt,
-                        double& exchange_s, double& gravity_s,
-                        double& hydro_s) {
-  ++sdc_retries_;
-  apex::registry::instance().add(app::sdc_metrics().retries);
-  try {
-    // Transient-error path: restore the in-memory pre-step snapshot and
-    // re-execute; a deterministic second execution must agree bitwise
-    // (dual-execution compare-vote) before the retry is trusted.
-    sdc_restore(snap);
-    step_attempt(dt, exchange_s, gravity_s, hydro_s);
-    const std::uint64_t ballot_a = sdc_state_signature();
-    sdc_restore(snap);
-    step_attempt(dt, exchange_s, gravity_s, hydro_s);
-    if (sdc_state_signature() != ballot_a)
-      throw app::sdc_detected(
-          "dual-execution compare-vote mismatch on retry — the two "
-          "re-executions disagree, escalating to checkpoint rollback");
-  } catch (const app::sdc_detected&) {
-    ++sdc_rollbacks_;
-    apex::registry::instance().add(app::sdc_metrics().rollbacks);
-    throw;
-  }
+  fold_exchange_counts(*counts);
 }
 
 real cluster::step() {
@@ -1248,25 +772,12 @@ real cluster::step() {
   detect_locality_failures();
   if (cost_model_.active()) cost_model_.begin_step();
   const real dt = dt_;
-  double exchange_s = 0, gravity_s = 0, hydro_s = 0;
   const amt::runtime_stats rt_stats0 = space_.runtime().stats();
-  have_crit_ = false;
 
-  if (auditor_.enabled()) {
-    const cluster_snapshot snap = sdc_take_snapshot();
-    try {
-      step_attempt(dt, exchange_s, gravity_s, hydro_s);
-    } catch (const app::sdc_detected&) {
-      ++sdc_detected_;
-      sdc_retry(snap, dt, exchange_s, gravity_s, hydro_s);
-      // A successful retry took extra wall time the adaptive heartbeat
-      // deadline never observed; don't let the next round misread the
-      // stall as a locality death.
-      monitor_.suspend_next_window();
-    }
-  } else {
-    step_attempt(dt, exchange_s, gravity_s, hydro_s);
-  }
+  // A successful retry took extra wall time the adaptive heartbeat
+  // deadline never observed; don't let the next round misread the stall
+  // as a locality death.
+  if (contained_step(dt)) monitor_.suspend_next_window();
 
   time_ += dt;
   ++steps_;
@@ -1282,18 +793,8 @@ real cluster::step() {
   // Per-step observability: transport counters are emitted as this-step
   // deltas so retries/timeouts line up with cells/second; recovery totals
   // accumulated since the last record ride along.
-  apex::step_record rec;
-  rec.step = steps_;
-  rec.time = static_cast<double>(time_);
-  rec.dt = static_cast<double>(dt);
-  rec.step_seconds = step_watch.seconds();
-  rec.exchange_seconds = exchange_s;
-  rec.gravity_seconds = gravity_s;
-  rec.hydro_seconds = hydro_s;
-  rec.subgrids = static_cast<std::uint64_t>(topo_->num_leaves());
-  rec.cells = rec.subgrids *
-              static_cast<std::uint64_t>(grid::subgrid::N) *
-              grid::subgrid::N * grid::subgrid::N;
+  apex::step_record rec =
+      base_step_record(dt, step_watch.seconds(), rt_stats0);
   const transport_stats ts = transport_statistics();
   rec.transport_retries = ts.retries - last_transport_stats_.retries;
   rec.transport_timeouts = ts.timeouts - last_transport_stats_.timeouts;
@@ -1304,28 +805,11 @@ real cluster::step() {
   rec.leaves_migrated = pending_leaves_migrated_;
   pending_localities_lost_ = 0;
   pending_leaves_migrated_ = 0;
-  const amt::runtime_stats rt_stats1 = space_.runtime().stats();
-  const double busy_ns =
-      rec.step_seconds * 1e9 * space_.runtime().concurrency();
-  if (busy_ns > 0)
-    rec.idle_fraction =
-        static_cast<double>(rt_stats1.idle_ns - rt_stats0.idle_ns) / busy_ns;
-  if (have_crit_) {
-    rec.crit_path_us = static_cast<double>(last_crit_.length_ns) / 1000.0;
-    rec.crit_path_frac = last_crit_.crit_path_frac();
-    rec.imbalance = last_crit_.imbalance;
-  }
   rec.rebalance_count = rebalance_count_;
   if (cost_model_.active() && cost_model_.steps_observed() > 0)
     rec.max_over_mean = static_cast<double>(
         tree::cost_max_over_mean(*topo_, part_, cost_model_.costs()));
-  rec.sdc_audits = sdc_audits_;
-  rec.sdc_detected = sdc_detected_;
-  rec.sdc_retries = sdc_retries_;
-  rec.sdc_rollbacks = sdc_rollbacks_;
-  rec.finalize();
-  last_metrics_ = rec;
-  if (metrics_ != nullptr) metrics_->emit(rec);
+  emit_step_record(rec);
   // Feed the adaptive heartbeat deadline with this step's wall time.
   monitor_.observe_step_ms(rec.step_seconds * 1e3);
 
@@ -1338,157 +822,6 @@ real cluster::step() {
     flows_consumed_ = flows.size();
   }
   return dt;
-}
-
-void cluster::restore_state(real time, std::int64_t step,
-                            const exchange_stats& st) {
-  OCTO_CHECK_MSG(initialized_, "call initialize() first");
-  time_ = time;
-  steps_ = static_cast<int>(step);
-  // Derived state is not checkpointed: rebuild ghosts and gravity from the
-  // restored fields, then recompute dt — bitwise identical to what the
-  // uninterrupted run carried after the same step.
-  exchange_ghosts();
-  if (opt_.sim.self_gravity) solve_gravity();
-  dt_ = opt_.sim.fixed_dt > 0 ? opt_.sim.fixed_dt : compute_dt();
-  // Last, so the checkpointed counters win over the restore exchange.
-  stats_ = st;
-  // The restored fields are the trusted state now: retake the seals (the
-  // old ones described the pre-rollback state) and restart the drift
-  // history's warmup.  The containment retry re-restores its own history
-  // on top of this.
-  if (auditor_.enabled()) {
-    auditor_.reset_history();
-    sdc_seal_all();
-  }
-}
-
-app::ledger cluster::measure() const {
-  app::ledger lg;
-  for (const index_t l : topo_->leaves()) {
-    const auto t = hydro::measure(grids_[l]);
-    lg.mass += t.mass;
-    lg.momentum += t.momentum;
-    lg.ang_momentum += t.ang_momentum;
-    lg.gas_energy += t.energy;
-  }
-  if (opt_.sim.self_gravity) lg.pot_energy = grav_->potential_energy();
-  return lg;
-}
-
-// ---------------------------------------------------------------------------
-// SDC containment (mirrors app::simulation; see app/invariants.hpp)
-// ---------------------------------------------------------------------------
-
-void cluster::sdc_seal_all() {
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : topo_->leaves())
-    futs.push_back(
-        amt::async([this, l] { auditor_.seal_leaf(l, grids_[l]); }, rt));
-  amt::wait_all(futs, rt);
-  if (opt_.sim.self_gravity) auditor_.seal_moments(grav_->moments_crc());
-}
-
-void cluster::sdc_verify_all() {
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : topo_->leaves())
-    futs.push_back(
-        amt::async([this, l] { auditor_.verify_leaf(l, grids_[l]); }, rt));
-  // get_all, not wait_all: a seal mismatch must surface as sdc_detected.
-  amt::get_all(futs, rt);
-  if (opt_.sim.self_gravity && auditor_.moments_sealed())
-    auditor_.verify_moments(grav_->moments_crc());
-}
-
-void cluster::sdc_apply_bitflips(std::int64_t step) {
-  auto& inj = fault::injector::instance();
-  if (!inj.armed()) return;
-  fault::bitflip_plan plan;
-  const auto& leaves = topo_->leaves();
-  // Resolve a plan's (loc, leaf) to a concrete node: leaf index modulo the
-  // target locality's owned-leaf count, so the spec stays valid across
-  // partition changes (rebalance / shrink-on-failure).
-  const auto pick_leaf = [&](const fault::bitflip_plan& p) {
-    const int loc =
-        static_cast<int>(p.loc % static_cast<std::uint64_t>(
-                                     opt_.num_localities));
-    std::vector<index_t> owned;
-    for (const index_t l : leaves)
-      if (owner(l) == loc) owned.push_back(l);
-    const auto& pool = owned.empty() ? leaves : owned;
-    return pool[static_cast<std::size_t>(p.leaf % pool.size())];
-  };
-  if (inj.state_bitflip_hook(static_cast<std::uint64_t>(step), &plan)) {
-    const index_t l = pick_leaf(plan);
-    app::apply_state_bitflip(grids_[l], plan.field, plan.cell, plan.bit);
-    OCTO_LOG_WARN("fault: injected state bitflip at step "
-                  << step << " locality " << owner(l) << " leaf " << l
-                  << " field "
-                  << plan.field % static_cast<std::uint64_t>(grid::NFIELD)
-                  << " bit " << plan.bit % 64);
-  }
-  if (inj.moment_bitflip_hook(static_cast<std::uint64_t>(step), &plan) &&
-      opt_.sim.self_gravity) {
-    const index_t l = pick_leaf(plan);
-    grav_->apply_moment_bitflip(l, plan.field, plan.cell, plan.bit);
-    OCTO_LOG_WARN("fault: injected moment bitflip at step "
-                  << step << " node " << l);
-  }
-}
-
-cluster::cluster_snapshot cluster::sdc_take_snapshot() const {
-  cluster_snapshot snap;
-  const auto& leaves = topo_->leaves();
-  snap.sim.nodes.assign(leaves.begin(), leaves.end());
-  snap.sim.data.reserve(leaves.size());
-  for (const index_t l : leaves) snap.sim.data.push_back(grids_[l].raw());
-  snap.sim.time = time_;
-  snap.sim.dt = dt_;
-  snap.sim.steps = steps_;
-  snap.sim.history = auditor_.save_history();
-  snap.stats = stats_;
-  return snap;
-}
-
-void cluster::sdc_restore(const cluster_snapshot& snap) {
-  for (std::size_t i = 0; i < snap.sim.nodes.size(); ++i)
-    grids_[snap.sim.nodes[i]].raw() = snap.sim.data[i];
-  // restore_state re-exchanges ghosts, re-solves gravity and recomputes dt
-  // from the restored fields — bitwise identical to the pre-attempt state —
-  // and rolls the exchange statistics back so a retried step counts its
-  // slabs once.
-  restore_state(snap.sim.time, snap.sim.steps, snap.stats);
-  dt_ = snap.sim.dt;
-  auditor_.restore_history(snap.sim.history);
-}
-
-std::uint64_t cluster::sdc_state_signature() const {
-  std::uint64_t sig = 1469598103934665603ull;
-  const auto fold = [&sig](std::uint64_t v) {
-    sig = (sig ^ v) * 1099511628211ull;
-  };
-  for (const index_t l : topo_->leaves()) fold(auditor_.seal_of(l));
-  if (auditor_.moments_sealed()) fold(auditor_.moment_seal());
-  std::uint64_t dt_bits = 0;
-  static_assert(sizeof(real) == sizeof(dt_bits), "real must be 64-bit");
-  std::memcpy(&dt_bits, &dt_, sizeof(dt_bits));
-  fold(dt_bits);
-  return sig;
-}
-
-void cluster::sdc_audit_and_seal(real dt_next, std::int64_t step) {
-  if (auditor_.invariants_due(step)) {
-    auto& rt = space_.runtime();
-    std::vector<amt::future<void>> futs;
-    for (const index_t l : topo_->leaves())
-      futs.push_back(
-          amt::async([this, l] { auditor_.audit_leaf(l, grids_[l]); }, rt));
-    amt::get_all(futs, rt);
-    auditor_.audit_step(measure(), dt_next, step);
-  }
-  sdc_seal_all();
 }
 
 }  // namespace octo::dist

@@ -38,15 +38,14 @@
 /// dead leaves are restored from in-memory buddy replicas (kept on the
 /// SFC-neighbor locality) or the newest valid checkpoint.
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "amt/channel.hpp"
-#include "apex/cost_model.hpp"
-#include "apex/critical_path.hpp"
-#include "apex/metrics.hpp"
-#include "app/simulation.hpp"
+#include "app/step_engine.hpp"
 #include "dist/recovery.hpp"
 #include "dist/trace_merge.hpp"
 #include "dist/transport.hpp"
@@ -102,7 +101,7 @@ struct exchange_stats {
   }
 };
 
-class cluster {
+class cluster : public app::step_engine {
  public:
   cluster(const scen::scenario& sc, dist_options opt,
           exec::amt_space space = exec::amt_space{});
@@ -117,7 +116,11 @@ class cluster {
   /// integration clock and exchange statistics, re-exchanges ghosts,
   /// re-solves gravity and recomputes the CFL dt — bitwise identical to
   /// the state an uninterrupted run carries after the same step.
-  void restore_state(real time, std::int64_t step, const exchange_stats& st);
+  void restore_state(real time, std::int64_t step, const exchange_stats& st) {
+    restore_clock(time, step);
+    // Last, so the checkpointed counters win over the restore exchange.
+    stats_ = st;
+  }
 
   /// Live locality-failure recovery (implemented in recovery.cpp): mark
   /// \p dead localities dead, shrink the partition over the survivors,
@@ -150,22 +153,13 @@ class cluster {
   /// estimate (tree::static_leaf_costs) before that.
   std::vector<real> current_leaf_costs() const;
 
-  const apex::leaf_cost_model& cost_model() const { return cost_model_; }
-
-  const tree::topology& topo() const { return *topo_; }
   const tree::partition_result& partition() const { return part_; }
   const exchange_stats& stats() const { return stats_; }
   transport_stats transport_statistics() const;
-  const exec::amt_space& space() const { return space_; }
   bool locality_alive(int loc) const {
     return locality_alive_[static_cast<std::size_t>(loc)] != 0;
   }
   int live_localities() const;
-
-  /// Per-step observability (mirrors app::simulation): one step_record per
-  /// step() with transport/recovery counters next to cells/second.
-  void set_metrics_sink(apex::metrics_sink* sink) { metrics_ = sink; }
-  const apex::step_record& last_step_metrics() const { return last_metrics_; }
 
   /// Arm distributed tracing into \p dir: span recording plus per-locality
   /// message-flow stamps on deliberately skewed locality clocks
@@ -188,23 +182,6 @@ class cluster {
   /// the configured skews, transport statistics.
   void write_cluster_report(std::ostream& os) const;
 
-  grid::subgrid& leaf(index_t node);
-  const grid::subgrid& leaf(index_t node) const;
-  app::ledger measure() const;
-  real time() const { return time_; }
-  real dt() const { return dt_; }
-  int steps_taken() const { return steps_; }
-
-  /// The SDC auditor guarding this cluster (seals + physics invariants;
-  /// see app/invariants.hpp).  Inactive when options().sim.audit.enabled
-  /// is false.
-  const app::invariant_auditor& auditor() const { return auditor_; }
-  /// Cumulative SDC counters (mirrored into the metrics columns).
-  std::uint64_t sdc_audits() const { return sdc_audits_; }
-  std::uint64_t sdc_detections() const { return sdc_detected_; }
-  std::uint64_t sdc_retries() const { return sdc_retries_; }
-  std::uint64_t sdc_rollbacks() const { return sdc_rollbacks_; }
-
  private:
   /// One message through a boundary channel.
   struct boundary_msg {
@@ -213,46 +190,41 @@ class cluster {
     std::vector<std::uint8_t> bytes;  ///< serialized slab otherwise
   };
 
-  void exchange_ghosts();
-  void solve_gravity();
-  void hydro_stage(real dt, real ca, real cb);
-  real compute_dt();
-  /// The three RK stages as barriered phase launches (classic mode).
-  void step_barrier(real dt, double& exchange_s, double& gravity_s,
-                    double& hydro_s);
+  /// Exchange statistics accumulated lock-free by the send tasks of one
+  /// exchange (or one dataflow step), folded into stats_ afterwards.
+  struct xfer_counts {
+    std::atomic<std::uint64_t> ld{0}, ls{0}, rm{0}, by{0};
+  };
+
+  const app::sim_options& sim_opts() const override { return opt_.sim; }
+  bool leaf_pairs_exchanged() const override { return true; }
+  /// Barrier-mode leaf-leaf exchange through the boundary channels.
+  void exchange_leaf_pairs() override;
   /// The three RK stages as one dependency graph: per-leaf hydro chained on
   /// its own ghost edges, channel arrivals resolving unpack tasks without a
   /// barrier, gravity via solve_dataflow; one deterministic drain at the
   /// end.  On any task failure every channel is closed (so pending arrivals
   /// resolve), the graph drained, channels rebuilt, and the first error in
   /// build order rethrown.
-  void step_graph(real dt);
+  void step_graph(real dt) override;
+  int owner_count() const override { return opt_.num_localities; }
+  int owner_of(index_t leaf) const override { return owner(leaf); }
+  /// A retried step rolls the exchange statistics back to the snapshot.
+  std::function<void()> save_retry_extras() override {
+    return [this, st = stats_] { stats_ = st; };
+  }
   int owner(index_t node) const { return part_.owner(node); }
 
-  // --- SDC containment (mirrors app::simulation; see app/invariants.hpp) --
-  /// Pre-step snapshot for the containment retry: leaf state + clock +
-  /// drift history, plus the exchange statistics a restore must roll back.
-  struct cluster_snapshot {
-    app::sdc_snapshot sim;
-    exchange_stats stats;
-  };
-  /// One execution attempt of the step: apply any armed bitflip, verify
-  /// the seals, run the physics, audit the result, retake the seals.
-  /// Throws sdc_detected on a tripped detector.
-  void step_attempt(real dt, double& exchange_s, double& gravity_s,
-                    double& hydro_s);
-  /// Retry a tripped step from \p snap with a dual-execution compare-vote;
-  /// rethrows sdc_detected (checkpoint-rollback escalation) when the retry
-  /// trips again or the two executions disagree.
-  void sdc_retry(const cluster_snapshot& snap, real dt, double& exchange_s,
-                 double& gravity_s, double& hydro_s);
-  cluster_snapshot sdc_take_snapshot() const;
-  void sdc_restore(const cluster_snapshot& snap);
-  void sdc_apply_bitflips(std::int64_t step);
-  void sdc_verify_all();
-  void sdc_audit_and_seal(real dt_next, std::int64_t step);
-  void sdc_seal_all();
-  std::uint64_t sdc_state_signature() const;
+  /// Does leaf \p l have a same-level leaf neighbor (a boundary link)?
+  bool has_leaf_links(index_t l) const;
+  /// Pack, seal, fault-hook and transport leaf \p l's slabs to every
+  /// same-level leaf neighbor (a bare pointer token when the pair is
+  /// same-locality and local_optimization is on).
+  void send_slabs(index_t l, xfer_counts& counts);
+  /// Write one arrived slab into leaf \p l's ghost face \p d.
+  void unpack_slab(index_t l, int d, boundary_msg msg);
+  /// Fold one exchange's counts into stats_ and the apex counters.
+  void fold_exchange_counts(const xfer_counts& counts);
 
   /// Fresh boundary channels and a fresh transport epoch; old channels are
   /// closed first so stragglers (pending receives, delayed in-flight
@@ -267,11 +239,6 @@ class cluster {
   void update_replicas();
   /// Next surviving locality after \p loc on the locality ring.
   int buddy_of(int loc) const;
-  /// Cost-model handle for cost_scope call sites: null (one branch, no
-  /// clock read) unless lb measurement is on.
-  apex::leaf_cost_model* cost_model_ptr() {
-    return cost_model_.active() ? &cost_model_ : nullptr;
-  }
   /// Transport link carrying leaf slot \p s's migration payload (the range
   /// past the nleaves x 26 boundary links).
   int migration_link(index_t slot) const {
@@ -281,15 +248,7 @@ class cluster {
 
   scen::scenario scenario_;
   dist_options opt_;
-  exec::amt_space space_;
-
-  std::unique_ptr<tree::topology> topo_;
   tree::partition_result part_;
-  std::unique_ptr<gravity::fmm_solver> grav_;
-  std::vector<grid::subgrid> grids_;
-  std::vector<grid::subgrid> stage0_;
-  std::vector<index_t> leaf_slot_;
-  std::vector<std::vector<index_t>> leaves_by_level_;
 
   /// channels_[leaf_slot * 26 + dir]: inbound slab from direction dir.
   /// shared_ptr so a delayed transport frame delivering after a rebuild
@@ -310,23 +269,8 @@ class cluster {
   transport_stats last_transport_stats_{};
 
   /// Dynamic load rebalancing state (dist/rebalance.cpp).
-  apex::leaf_cost_model cost_model_;
   std::uint64_t rebalance_count_ = 0;
   std::uint64_t rebalances_skipped_ = 0;
-
-  apex::metrics_sink* metrics_ = nullptr;
-  apex::step_record last_metrics_{};
-
-  /// Silent-data-corruption defense (app/invariants.hpp).
-  app::invariant_auditor auditor_;
-  std::uint64_t sdc_audits_ = 0;
-  std::uint64_t sdc_detected_ = 0;
-  std::uint64_t sdc_retries_ = 0;
-  std::uint64_t sdc_rollbacks_ = 0;
-  /// Critical-path analysis of the most recent step_attempt's dataflow DAG
-  /// (member state so a retried attempt reports its own recording).
-  apex::critical_path_result last_crit_{};
-  bool have_crit_ = false;
 
   /// Distributed-trace state (set_trace_dir): output directory, configured
   /// per-locality skew, the live offset estimator (refined every step from
@@ -337,10 +281,6 @@ class cluster {
   std::size_t flows_consumed_ = 0;
 
   exchange_stats stats_;
-  real time_ = 0;
-  real dt_ = 0;
-  int steps_ = 0;
-  bool initialized_ = false;
 };
 
 }  // namespace octo::dist

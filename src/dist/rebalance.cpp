@@ -147,9 +147,7 @@ bool cluster::maybe_rebalance() {
   // keeps the run bitwise identical to one that never rebalanced.
   monitor_.suspend_next_window();
   rebuild_channels();
-  exchange_ghosts();
-  if (opt_.sim.self_gravity) solve_gravity();
-  dt_ = opt_.sim.fixed_dt > 0 ? opt_.sim.fixed_dt : compute_dt();
+  rederive();
   update_replicas();
 
   ++rebalance_count_;

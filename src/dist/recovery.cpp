@@ -201,9 +201,7 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
           [this, l] { grids_[l] = replicas_[leaf_slot_[l]]; }, rt));
     amt::wait_all(futs, rt);
     // Derived state over the shrunk partition: ghosts, gravity, dt.
-    exchange_ghosts();
-    if (opt_.sim.self_gravity) solve_gravity();
-    dt_ = opt_.sim.fixed_dt > 0 ? opt_.sim.fixed_dt : compute_dt();
+    rederive();
     OCTO_LOG_INFO("recovery: restored " << lost.size()
                                         << " leaves from buddy replicas; "
                                         << live_localities()
@@ -231,10 +229,7 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
   // retake the SDC seals so the next step's verify doesn't misread the
   // restoration as corruption.  (The checkpoint path resealed inside
   // restore_state already; the replica path must too.)
-  if (auditor_.enabled()) {
-    auditor_.reset_history();
-    sdc_seal_all();
-  }
+  reseal();
   auto& reg = apex::registry::instance();
   reg.add(counters().localities_lost, dead.size());
   reg.add(counters().leaves_migrated, lost.size());

@@ -9,7 +9,6 @@
 #include "apex/trace.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "exec/parallel.hpp"
 
 namespace octo::gravity {
 
@@ -323,7 +322,6 @@ void fmm_solver::build_halo(index_t node, std::vector<real>& halo,
 
 template <typename P>
 void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
-                          const std::vector<real>& /*nearmask*/,
                           int row_begin, int row_end) {
   auto& nd = nodes_[node];
   const bool full = !topo_.node(node).leaf;
@@ -454,9 +452,9 @@ void fmm_solver::compute_m2l(index_t node, int chunk, int nchunks) {
   const int rb = rows * chunk / nchunks;
   const int re = rows * (chunk + 1) / nchunks;
   if (opt_.use_simd) {
-    m2l_impl<vector_pack>(node, scratch.halo, scratch.nearmask, rb, re);
+    m2l_impl<vector_pack>(node, scratch.halo, rb, re);
   } else {
-    m2l_impl<scalar_pack>(node, scratch.halo, scratch.nearmask, rb, re);
+    m2l_impl<scalar_pack>(node, scratch.halo, rb, re);
   }
   // Near field on leaves, over the same (disjoint) row range so chunked
   // launches never race on the expansion arrays.
@@ -692,109 +690,14 @@ void fmm_solver::evaluate_leaf(index_t node) {
 }
 
 // ---------------------------------------------------------------------------
-// solve
+// solve: the task graph over already-resolved inputs, drained once
 // ---------------------------------------------------------------------------
 
 void fmm_solver::solve(const exec::amt_space& space) {
-  auto& rt = space.runtime();
-  const int nchunks = std::max(opt_.m2l_chunks, 1);
-
-  // Zero expansions from any previous solve.
-  exec::parallel_for(space, exec::range_policy(topo_.num_nodes()),
-                     [&](index_t n) {
-                       std::fill(nodes_[n].exp.begin(), nodes_[n].exp.end(),
-                                 real(0));
-                     });
-
-  // Phase 1: M2M bottom-up, level by level.
-  for (int lvl = static_cast<int>(levels_.size()) - 2; lvl >= 0; --lvl) {
-    const auto& lv = levels_[static_cast<std::size_t>(lvl)];
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : lv) {
-      if (topo_.node(n).leaf) continue;
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.m2m");
-            compute_m2m(n);
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 2: same-level interactions (Multipole kernel + leaf near field).
-  // One launch per (node, chunk); with nchunks == 1 the P2P runs fused.
-  {
-    std::vector<amt::future<void>> futs;
-    for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-      for (int c = 0; c < nchunks; ++c) {
-        futs.push_back(amt::async(
-            [this, n, c, nchunks] {
-              // The Multipole-kernel launch of §VII-C — with m2l_chunks > 1
-              // one launch shows up as several shorter spans (Fig. 9).
-              const apex::scoped_trace_span span("gravity.m2l");
-              compute_m2l(n, c, nchunks);
-            },
-            rt));
-      }
-    }
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 3: mutual fine-coarse boundary pairs — private pair buffers
-  // first, then one deterministic apply task per involved node.
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : topo_.leaves()) {
-      if (fc_[static_cast<std::size_t>(n)].hosts.empty()) continue;
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.fine_coarse");
-            compute_fine_coarse_pairs(n);
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-  {
-    std::vector<amt::future<void>> futs;
-    for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-      if (!has_fc_work(n)) continue;
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.fine_coarse_apply");
-            apply_fine_coarse(n);
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 4: L2L top-down.
-  for (std::size_t lvl = 1; lvl < levels_.size(); ++lvl) {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : levels_[lvl])
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.l2l");
-            compute_l2l(n);
-          },
-          rt));
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 5: evaluate at leaves.
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : topo_.leaves())
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.evaluate_leaf");
-            evaluate_leaf(n);
-          },
-          rt));
-    amt::wait_all(futs, rt);
-  }
+  const auto nn = static_cast<std::size_t>(topo_.num_nodes());
+  amt::get_all(
+      solve_dataflow(space, std::vector<amt::shared_future<void>>(nn)).tasks,
+      space.runtime());
 }
 
 // ---------------------------------------------------------------------------
@@ -1048,7 +951,6 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
     }
   }
 
-  (void)space;
   return g;
 }
 

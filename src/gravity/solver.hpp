@@ -54,8 +54,9 @@ class fmm_solver {
   /// Convenience: densities from a hydro sub-grid's owned cells.
   void set_leaf_from_subgrid(index_t node, const grid::subgrid& u);
 
-  /// Run the full FMM.  The execution space supplies the runtime; the
-  /// option's m2l_chunks controls kernel splitting.
+  /// Run the full FMM: solve_dataflow() over inputs that are already set,
+  /// drained with one get_all.  The execution space supplies the runtime;
+  /// the option's m2l_chunks controls kernel splitting.
   void solve(const exec::amt_space& space = exec::amt_space{});
 
   /// Handles into one dataflow FMM solve: per-node completion edges that a
@@ -84,8 +85,8 @@ class fmm_solver {
   /// leaf n's moments (the caller's set_leaf_from_subgrid task); \p prev
   /// carries the previous solve's read/write edges for WAR/WAW hazards
   /// across RK stages (nullptr when the step entry was a global join).
-  /// Bitwise-identical to solve(): every cell's accumulation order is
-  /// zero -> M2L(+P2P) -> fine-coarse apply -> L2L in both modes.
+  /// Every cell's accumulation order is zero -> M2L(+P2P) -> fine-coarse
+  /// apply -> L2L, whatever order the tasks run in.
   solve_graph solve_dataflow(
       const exec::amt_space& space,
       const std::vector<amt::shared_future<void>>& mom_ready,
@@ -149,8 +150,8 @@ class fmm_solver {
   /// fine-coarse monopole pass is split into a *pair* phase that writes
   /// private accumulation buffers and an *apply* phase that folds them into
   /// the expansions in deterministic order (own fine-side contribution
-  /// first, then clients ascending by node index) — no locks, and bitwise
-  /// identical between the barriered and dataflow solves.
+  /// first, then clients ascending by node index) — no locks, and the same
+  /// bits whatever order the tasks run in.
   struct fc_data {
     std::vector<index_t> hosts;    ///< coarser leaf neighbors (fine leaves)
     std::vector<index_t> clients;  ///< finer leaf neighbors, ascending
@@ -171,8 +172,7 @@ class fmm_solver {
   }
 
   template <typename P>
-  void m2l_impl(index_t node, const std::vector<real>& halo,
-                const std::vector<real>& nearmask, int row_begin,
+  void m2l_impl(index_t node, const std::vector<real>& halo, int row_begin,
                 int row_end);
   template <typename P>
   void p2p_impl(index_t node, const std::vector<real>& halo,
@@ -208,10 +208,6 @@ class direct_solver {
   std::span<const real> gz(index_t node) const;
 
  private:
-  struct cellrec {
-    rvec3 x;
-    real m;
-  };
   const tree::topology& topo_;
   real G_;
   std::vector<std::vector<real>> mass_;  // per leaf slot in topo.leaves()

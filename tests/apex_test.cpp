@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "apex/analyze.hpp"
 #include "apex/apex.hpp"
 
 namespace octo::apex {
@@ -178,6 +179,26 @@ TEST(Apex, ReportGroupsHierarchically) {
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("beta"), std::string::npos);
   EXPECT_NE(s.find("p95"), std::string::npos);
+}
+
+/// Nested spans (amt.task wrapping gravity.m2l) must count their overlap
+/// once: summing durations read 150% here.
+TEST(Apex, UtilizationCountsNestedSpansOnce) {
+  loaded_trace t;
+  t.spans.push_back({"amt.task", 0, 1, 0, 100});
+  t.spans.push_back({"gravity.m2l", 0, 1, 10, 50});
+  t.spans.push_back({"amt.task", 0, 2, 0, 40});
+  t.spans.push_back({"amt.task", 0, 2, 60, 40});
+  t.spans.push_back({"gravity.m2l", 0, 2, 70, 10});
+  const auto rows = compute_utilization(t);
+  ASSERT_EQ(rows.size(), 2u);
+  for (const auto& r : rows) {
+    EXPECT_LE(r.utilization, 1.0) << "tid " << r.tid;
+    EXPECT_EQ(r.busy_us, r.tid == 1 ? 100.0 : 80.0) << "tid " << r.tid;
+  }
+  EXPECT_EQ(rows[0].spans, 2u);
+  EXPECT_DOUBLE_EQ(rows[0].utilization, 1.0);
+  EXPECT_DOUBLE_EQ(rows[1].utilization, 0.8);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "apex/race_audit.hpp"
 #include "app/simulation.hpp"
 #include "common/error.hpp"
+#include "gravity/solver.hpp"
 #include "scenarios/scenarios.hpp"
 
 namespace octo::apex {
@@ -218,6 +219,32 @@ TEST_F(RaceAuditSim, DroppedSolverFreeEdgeRegressionIsCaught) {
       saw_expansion_pair = true;
   }
   EXPECT_TRUE(saw_expansion_pair) << res.summary();
+}
+
+TEST_F(RaceAuditSim, StandaloneSolveGraphAuditsClean) {
+  // fmm_solver::solve() drains the same task graph the dataflow step
+  // wires in — the graph initialize(), restore_state(), regrid() and the
+  // SCF iterations run.  On a refined tree (fine-coarse pairs and applies
+  // take part) its recording must audit with zero conflicts.
+  const auto sc = scen::rotating_star();
+  const tree::topology topo = sc.make_topology(3);
+  gravity::fmm_solver solver(topo);
+  for (const index_t l : topo.leaves()) {
+    grid::subgrid u(topo.center(l), topo.cell_width(l));
+    sc.init(u);
+    solver.set_leaf_from_subgrid(l, u);
+  }
+  dag_recorder::instance().begin_step();
+  solver.solve();
+  const graph_profile graph = dag_recorder::instance().end_step();
+  const auto res = audit_races(graph);
+  EXPECT_TRUE(res.clean()) << res.summary();
+  EXPECT_GT(res.tasks_with_footprint, 0u);
+  EXPECT_GT(res.pairs_checked, 0u);
+  bool saw_fc_apply = false;
+  for (const auto& n : graph.nodes)
+    saw_fc_apply = saw_fc_apply || std::string(n.cls) == "fc-apply";
+  EXPECT_TRUE(saw_fc_apply) << "level-3 tree without refinement boundaries?";
 }
 
 TEST_F(RaceAuditSim, StepModeOptionThrowsOnBrokenGraphViaSimOptions) {
