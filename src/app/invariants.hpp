@@ -23,10 +23,11 @@
 ///
 /// A tripped detector throws `sdc_detected` (an `octo::error`, so the
 /// checkpoint-rollback driver's escalation path applies unchanged).  The
-/// step drivers (`app::simulation::step`, `dist::cluster::step`) contain
-/// the fault first: they retry the step from an in-memory pre-step snapshot
-/// and confirm the retry with a dual-execution compare-vote; only a second
-/// trip escalates to checkpoint rollback.  Either way the completed run is
+/// step drivers (`app::simulation`, `dist::cluster`, through their shared
+/// `app::step_engine::contained_step`) contain the fault first: they retry
+/// the step from an in-memory pre-step snapshot and confirm the retry with
+/// a dual-execution compare-vote; only a second trip escalates to
+/// checkpoint rollback.  Either way the completed run is
 /// bitwise identical to an uninterrupted one — the auditor only ever reads
 /// the state it guards.
 ///

@@ -52,7 +52,8 @@ void step_engine::each_task(const std::vector<index_t>& ids, F fn) {
   auto& rt = space_.runtime();
   std::vector<amt::future<void>> futs;
   futs.reserve(ids.size());
-  for (const index_t n : ids) futs.push_back(amt::async([&fn, n] { fn(n); }, rt));
+  for (const index_t n : ids)
+    futs.push_back(amt::async([&fn, n] { fn(n); }, rt));
   amt::get_all(futs, rt);
 }
 
