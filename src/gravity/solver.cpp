@@ -836,7 +836,7 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
   }
 
   // Apply tasks fold the pair buffers into the expansions after every M2L
-  // chunk of the node (same per-cell accumulation order as solve()).
+  // chunk of the node, in a fixed per-cell accumulation order.
   std::vector<sf> fcapply(nn);
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {
     const auto ni = static_cast<std::size_t>(n);
