@@ -3,10 +3,17 @@
 /// SIMD pack versions of the gravity interaction kernels.
 ///
 /// These are the paper's two hot Kokkos kernels: the *Multipole kernel*
-/// (same-level cell-to-cell M2L over the 316-offset stencil, split into
-/// multiple HPX tasks in Fig. 9) and the *Monopole/P2P kernel* (near-field
-/// direct sums on leaves).  Both are templated on the SIMD pack and
-/// vectorize over the contiguous k index of the sub-grid.
+/// (same-level cell-to-cell M2L, split into multiple HPX tasks in Fig. 9)
+/// and the *Monopole/P2P kernel* (near-field direct sums on leaves).  Both
+/// are templated on the SIMD pack.  A pack holds the cells k = q, q+2, ...
+/// of one (i, j) row, all of one k-parity q, read from the solver's
+/// parity-major halo; so every lane shares one interaction stencil.
+///
+/// M2L has two source classes, as in Octo-Tiger's split stencil kernels:
+/// multipole sources (cells of refined nodes, with q and o) go through
+/// m2l_pack(); monopole sources (leaf cells, whose q and o are zero) feeding
+/// a leaf target go through m2l_monopole_pack(), which skips D2/D3 and
+/// reproduces m2l_pack<P, false>'s bits.
 
 #include "common/types.hpp"
 #include "gravity/multipole.hpp"
@@ -127,6 +134,26 @@ inline void m2l_pack(const pack_multipole<P>& src, const pack_derivs<P>& d,
     for (int s = 0; s < NSYM3; ++s)
       acc.l3[s] = fma(src.m, d.d3[s], acc.l3[s]);
   }
+}
+
+/// m2l_pack<P, false> for a source with q = o = 0: L0 += M D0, L1 += M D1,
+/// with D0 and D1 formed exactly as compute_derivs() forms them.  In
+/// m2l_pack every q/o term then adds an exact zero, so its result is the
+/// rounded product M D; `rounded()` keeps the compiler from fusing that
+/// product into the accumulation, which would change the bits.
+template <typename P>
+inline void m2l_monopole_pack(P src_m, P rx, P ry, P rz, real G,
+                              pack_expansion<P>& acc) {
+  const P r2 = rx * rx + ry * ry + rz * rz;
+  const P rinv = P(1) / sqrt(r2);
+  const P rinv2 = rinv * rinv;
+  const P rinv3 = rinv * rinv2;
+  const P d0 = P(-G) * rinv;
+  const P c1 = P(G) * rinv3;
+  acc.l0 += rounded(src_m * d0);
+  acc.l1[0] += rounded(src_m * (c1 * rx));
+  acc.l1[1] += rounded(src_m * (c1 * ry));
+  acc.l1[2] += rounded(src_m * (c1 * rz));
 }
 
 /// Monopole-monopole near-field contribution (exact): only D0/D1 needed.

@@ -1,7 +1,9 @@
 #include "gravity/solver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "amt/future.hpp"
@@ -19,70 +21,108 @@ constexpr index_t C3 = fmm_solver::C3;
 constexpr index_t CP = fmm_solver::CP;
 
 /// Halo: the node's 8^3 cells plus a 3-deep shell from same-level neighbors
-/// (the Multipole-kernel stencil reaches 3 cells).
+/// (the Multipole-kernel stencil reaches 3 cells).  The k axis is stored
+/// parity-major: halo k' = k + 3 sits at (k' & 1) * HK + k' / 2, so the
+/// cells k = q, q+2, q+4, ... of one parity are contiguous, and so are
+/// their sources at any offset.
 constexpr int HN = N + 6;
+constexpr int HK = HN / 2;
 constexpr index_t HS = index_t(HN) * HN * HN;
 constexpr index_t HP = HS + 8;
 
+constexpr int hk(int kh) { return (kh & 1) * HK + kh / 2; }
+
 constexpr index_t hidx(int i, int j, int k) {
-  return (index_t(i + 3) * HN + (j + 3)) * HN + (k + 3);
+  return (index_t(i + 3) * HN + (j + 3)) * HN + hk(k + 3);
 }
+
+/// Halo block along one axis of a cell coordinate in [-3, N+3): 0 below
+/// the node, 1 inside, 2 above.  A halo_blocks bit is bi * 9 + bj * 3 + bk.
+constexpr int block_of(int x) { return x < 0 ? 0 : (x < N ? 1 : 2); }
 
 using scalar_pack = octo::simd<real, octo::simd_abi::scalar>;
 using vector_pack = octo::simd<real, octo::simd_abi::native<real>>;
 
-/// Same-level interaction stencil.
+/// Same-level interaction stencils over packs of W lanes of one parity.
 ///
 /// A pair of same-level cells interacts at this level iff their *parent*
 /// cells are adjacent (Chebyshev distance <= 1 at the parent level) while
 /// the cells themselves are not (distance >= 2).  Parent adjacency depends
-/// on the target cell's parity q per axis: offset o is parent-adjacent iff
-///   q == 0:  o in [-2, 3]        q == 1:  o in [-3, 2].
-/// So the union stencil is [-3,3]^3 with Chebyshev >= 2, and the extreme
-/// offsets +3 / -3 are valid only for even / odd target parity.  In the
-/// SIMD kernel the i/j components filter whole rows and the k component
-/// becomes a lane mask.
-struct stencil_t {
-  std::vector<index_t> lin;                 ///< linear halo offset
-  std::vector<std::array<int, 3>> ijk;      ///< (oi, oj, ok)
+/// on the target cell's parity per axis: offset o is parent-adjacent iff
+///   parity 0:  o in [-2, 3]        parity 1:  o in [-3, 2].
+/// Every lane of a pack has the parity (i&1, j&1, q), so each of the 8
+/// parities gets its own 189-offset far stencil with no masked lanes.
+/// Entries keep the order of the full [-3,3]^3 loop (oi, then oj, then
+/// ok): it is each cell's accumulation order, and so fixes its bits.
+template <int W>
+struct pack_stencils {
+  static_assert(N % (2 * W) == 0, "a pack holds lanes of one parity of a row");
+  static constexpr int NPK = N / (2 * W);  ///< packs per (row, parity)
+
+  struct entry {
+    index_t lin;  ///< halo offset from a target pack to its source pack
+    int oi, oj;
+    /// Per pack p: the k-blocks (bit block_of(k)) its lanes' sources lie in.
+    std::array<std::uint8_t, NPK> kblocks;
+  };
+  std::array<std::vector<entry>, 8> far;   ///< by (i&1) * 4 + (j&1) * 2 + q
+  std::array<std::vector<entry>, 2> near;  ///< 26 near-field offsets, by q
 };
 
-const stencil_t& stencil() {
-  static const stencil_t s = [] {
-    stencil_t st;
-    for (int a = -3; a <= 3; ++a)
-      for (int b = -3; b <= 3; ++b)
-        for (int c = -3; c <= 3; ++c) {
-          const int cheb = std::max({std::abs(a), std::abs(b), std::abs(c)});
-          if (cheb < 2) continue;
-          st.lin.push_back((index_t(a) * HN + b) * HN + c);
-          st.ijk.push_back({a, b, c});
-        }
-    OCTO_ASSERT(st.lin.size() == 316);
-    return st;
-  }();
-  return s;
+/// The halo blocks (halo_blocks bits) that pack \p p of row (i, j) reads
+/// at stencil entry \p e.
+template <typename Entry>
+std::uint32_t reach(const Entry& e, int p, int i, int j) {
+  return std::uint32_t(e.kblocks[static_cast<std::size_t>(p)])
+         << (block_of(i + e.oi) * 9 + block_of(j + e.oj) * 3);
 }
 
-/// Is offset \p o parent-adjacent for target parity \p q (0 or 1)?
-constexpr bool offset_valid(int o, int q) {
-  return q == 0 ? (o >= -2 && o <= 3) : (o >= -3 && o <= 2);
+/// dst[2l] += v[l]: lane l of a parity pack is every second cell of a row.
+template <typename P>
+void add_lanes(real* dst, const P& v) {
+  for (int l = 0; l < P::size(); ++l) dst[2 * l] += v[l];
 }
 
-/// The 26 near-field offsets.
-struct near_stencil_t {
-  std::vector<index_t> lin;
-};
-
-const near_stencil_t& near_stencil() {
-  static const near_stencil_t s = [] {
-    near_stencil_t st;
-    for (int a = -1; a <= 1; ++a)
-      for (int b = -1; b <= 1; ++b)
-        for (int c = -1; c <= 1; ++c) {
-          if (a == 0 && b == 0 && c == 0) continue;
-          st.lin.push_back((index_t(a) * HN + b) * HN + c);
+template <int W>
+const pack_stencils<W>& stencils() {
+  using ps = pack_stencils<W>;
+  static const ps s = [] {
+    const auto make = [](int a, int b, int c, int q) {
+      typename ps::entry e{(index_t(a) * HN + b) * HN + hk(q + 3 + c) -
+                               hk(q + 3),
+                           a, b, {}};
+      for (int p = 0; p < ps::NPK; ++p)
+        for (int l = 0; l < W; ++l)
+          e.kblocks[static_cast<std::size_t>(p)] |= static_cast<std::uint8_t>(
+              1u << block_of(q + 2 * (p * W + l) + c));
+      return e;
+    };
+    const auto adjacent = [](int o, int parity) {
+      return parity == 0 ? (o >= -2 && o <= 3) : (o >= -3 && o <= 2);
+    };
+    ps st;
+    for (int pi = 0; pi < 2; ++pi)
+      for (int pj = 0; pj < 2; ++pj)
+        for (int q = 0; q < 2; ++q) {
+          auto& v = st.far[static_cast<std::size_t>(pi * 4 + pj * 2 + q)];
+          for (int a = -3; a <= 3; ++a)
+            for (int b = -3; b <= 3; ++b)
+              for (int c = -3; c <= 3; ++c) {
+                const int cheb =
+                    std::max({std::abs(a), std::abs(b), std::abs(c)});
+                if (cheb < 2 || !adjacent(a, pi) || !adjacent(b, pj) ||
+                    !adjacent(c, q))
+                  continue;
+                v.push_back(make(a, b, c, q));
+              }
+          OCTO_ASSERT(v.size() == 189);
         }
+    for (int q = 0; q < 2; ++q)
+      for (int a = -1; a <= 1; ++a)
+        for (int b = -1; b <= 1; ++b)
+          for (int c = -1; c <= 1; ++c)
+            if (a != 0 || b != 0 || c != 0)
+              st.near[static_cast<std::size_t>(q)].push_back(make(a, b, c, q));
     return st;
   }();
   return s;
@@ -265,8 +305,8 @@ void fmm_solver::compute_m2m(index_t node) {
 // halo construction
 // ---------------------------------------------------------------------------
 
-void fmm_solver::build_halo(index_t node, std::vector<real>& halo,
-                            std::vector<real>& nearmask) const {
+fmm_solver::halo_blocks fmm_solver::build_halo(
+    index_t node, std::vector<real>& halo, std::vector<real>& nearmask) const {
   // Empty cells: zero mass, far-away COM so r never vanishes.
   for (int comp = 0; comp < NMOM; ++comp) {
     real fillv = 0;
@@ -276,6 +316,7 @@ void fmm_solver::build_halo(index_t node, std::vector<real>& halo,
   }
   std::fill(nearmask.begin(), nearmask.end(), real(0));
 
+  halo_blocks blocks;
   const auto copy_block = [&](index_t src_node, const ivec3& dir) {
     const auto& sm = nodes_[src_node].mom;
     int slo[3], shi[3], dlo[3];
@@ -295,7 +336,13 @@ void fmm_solver::build_halo(index_t node, std::vector<real>& halo,
         dlo[a] = 0;
       }
     }
-    const real mask = topo_.node(src_node).leaf ? real(1) : real(0);
+    const bool leaf = topo_.node(src_node).leaf;
+    const std::uint32_t bit = 1u << static_cast<int>((dir[0] + 1) * 9 +
+                                                     (dir[1] + 1) * 3 +
+                                                     (dir[2] + 1));
+    blocks.present |= bit;
+    if (leaf) blocks.leaf |= bit;
+    const real mask = leaf ? real(1) : real(0);
     for (int i = slo[0]; i < shi[0]; ++i)
       for (int j = slo[1]; j < shi[1]; ++j)
         for (int k = slo[2]; k < shi[2]; ++k) {
@@ -314,86 +361,87 @@ void fmm_solver::build_halo(index_t node, std::vector<real>& halo,
     const index_t nb = topo_.neighbor(node, d);
     if (nb != tree::invalid_node) copy_block(nb, tree::directions()[d]);
   }
+  return blocks;
 }
 
 // ---------------------------------------------------------------------------
 // M2L: the Multipole kernel
 // ---------------------------------------------------------------------------
 
+// Both kernels below give every cell exactly the nonzero terms of the full
+// masked [-3,3]^3 loop, in its order.  What they leave out adds an exact
+// zero: a source pack whose lanes all lie in absent halo blocks (m = q = o
+// = 0, COM 1e30, so every product is +-0 and no accumulator, which starts
+// at +0, ever holds -0), and the q/o terms of leaf sources (q = o = 0).
+
 template <typename P>
 void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
-                          int row_begin, int row_end) {
+                          halo_blocks blocks, int row_begin, int row_end) {
+  constexpr int W = P::size();
+  const auto& st = stencils<W>();
   auto& nd = nodes_[node];
   const bool full = !topo_.node(node).leaf;
-  const auto& st = stencil();
-  const int W = P::size();
+  const std::uint32_t multipole_src = blocks.present & ~blocks.leaf;
   const real G = opt_.G;
+  const real* hm = halo.data();
 
   for (int row = row_begin; row < row_end; ++row) {
     const int i = row / N;
     const int j = row % N;
-    for (int k = 0; k < N; k += W) {
-      const index_t cell = cell_index(i, j, k);
-      P tx, ty, tz;
-      tx.copy_from(nd.mom.data() + mc_cx * CP + cell);
-      ty.copy_from(nd.mom.data() + mc_cy * CP + cell);
-      tz.copy_from(nd.mom.data() + mc_cz * CP + cell);
+    for (int q = 0; q < 2; ++q) {
+      const auto& offs = st.far[static_cast<std::size_t>((i & 1) * 4 +
+                                                         (j & 1) * 2 + q)];
+      for (int p = 0; p < pack_stencils<W>::NPK; ++p) {
+        // Lane l is the target cell (i, j, k0 + 2l).
+        const int k0 = q + 2 * p * W;
+        const index_t hb = hidx(i, j, k0);
+        P tx, ty, tz;
+        tx.copy_from(hm + mc_cx * HP + hb);
+        ty.copy_from(hm + mc_cy * HP + hb);
+        tz.copy_from(hm + mc_cz * HP + hb);
 
-      // Lane masks for the parity-dependent +/-3 k-offsets: lane l handles
-      // cell k + l, so its parity is (k + l) & 1.
-      P even_mask, odd_mask;
-      for (int l = 0; l < W; ++l) {
-        const bool even = ((k + l) & 1) == 0;
-        even_mask.set(l, even ? real(1) : real(0));
-        odd_mask.set(l, even ? real(0) : real(1));
-      }
-
-      pack_expansion<P> acc;
-      const index_t hb = hidx(i, j, k);
-      for (std::size_t s = 0; s < st.lin.size(); ++s) {
-        const auto [oi, oj, ok] = st.ijk[s];
-        if (!offset_valid(oi, i & 1) || !offset_valid(oj, j & 1)) continue;
-        const index_t h = hb + st.lin[s];
-        pack_multipole<P> src;
-        src.m.copy_from(halo.data() + mc_m * HP + h);
-        src.cx.copy_from(halo.data() + mc_cx * HP + h);
-        src.cy.copy_from(halo.data() + mc_cy * HP + h);
-        src.cz.copy_from(halo.data() + mc_cz * HP + h);
-        for (int q = 0; q < NSYM2; ++q)
-          src.q[q].copy_from(halo.data() + (mc_q + q) * HP + h);
-        for (int o = 0; o < NSYM3; ++o)
-          src.o[o].copy_from(halo.data() + (mc_o + o) * HP + h);
-
-        if (ok == 3 || ok == -3) {
-          // Valid only for even (+3) or odd (-3) target parity lanes:
-          // zero the source moments on the other lanes.
-          const P mask = (ok == 3) ? even_mask : odd_mask;
-          src.m *= mask;
-          for (int q = 0; q < NSYM2; ++q) src.q[q] *= mask;
-          for (int o = 0; o < NSYM3; ++o) src.o[o] *= mask;
+        pack_expansion<P> acc;
+        for (const auto& e : offs) {
+          const std::uint32_t r = reach(e, p, i, j);
+          if ((r & blocks.present) == 0) continue;
+          const index_t h = hb + e.lin;
+          P m, sx, sy, sz;
+          m.copy_from(hm + mc_m * HP + h);
+          sx.copy_from(hm + mc_cx * HP + h);
+          sy.copy_from(hm + mc_cy * HP + h);
+          sz.copy_from(hm + mc_cz * HP + h);
+          if (!full && (r & multipole_src) == 0) {
+            m2l_monopole_pack(m, tx - sx, ty - sy, tz - sz, G, acc);
+            continue;
+          }
+          pack_multipole<P> src;
+          src.m = m;
+          src.cx = sx;
+          src.cy = sy;
+          src.cz = sz;
+          for (int c = 0; c < NSYM2; ++c)
+            src.q[c].copy_from(hm + (mc_q + c) * HP + h);
+          for (int c = 0; c < NSYM3; ++c)
+            src.o[c].copy_from(hm + (mc_o + c) * HP + h);
+          pack_derivs<P> d;
+          compute_derivs(tx - sx, ty - sy, tz - sz, G, d);
+          if (full) {
+            m2l_pack<P, true>(src, d, acc);
+          } else {
+            m2l_pack<P, false>(src, d, acc);
+          }
         }
 
-        pack_derivs<P> d;
-        compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
+        // Accumulate into the node's expansion arrays (exclusive rows).
+        real* ex = nd.exp.data() + cell_index(i, j, k0);
+        add_lanes(ex + ec_l0 * CP, acc.l0);
+        for (int a = 0; a < 3; ++a) add_lanes(ex + (ec_l1 + a) * CP, acc.l1[a]);
         if (full) {
-          m2l_pack<P, true>(src, d, acc);
-        } else {
-          m2l_pack<P, false>(src, d, acc);
+          for (int c = 0; c < NSYM2; ++c)
+            add_lanes(ex + (ec_l2 + c) * CP, acc.l2[c]);
+          for (int c = 0; c < NSYM3; ++c)
+            add_lanes(ex + (ec_l3 + c) * CP, acc.l3[c]);
         }
-      }
-
-      // Accumulate into the node's expansion arrays (exclusive rows).
-      const auto add = [&](int comp, const P& v) {
-        P cur;
-        cur.copy_from(nd.exp.data() + comp * CP + cell);
-        cur += v;
-        cur.copy_to(nd.exp.data() + comp * CP + cell);
-      };
-      add(ec_l0, acc.l0);
-      for (int a = 0; a < 3; ++a) add(ec_l1 + a, acc.l1[a]);
-      if (full) {
-        for (int s = 0; s < NSYM2; ++s) add(ec_l2 + s, acc.l2[s]);
-        for (int s = 0; s < NSYM3; ++s) add(ec_l3 + s, acc.l3[s]);
       }
     }
   }
@@ -401,68 +449,70 @@ void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
 
 template <typename P>
 void fmm_solver::p2p_impl(index_t node, const std::vector<real>& halo,
-                          const std::vector<real>& nearmask, int row_begin,
-                          int row_end) {
+                          const std::vector<real>& nearmask,
+                          halo_blocks blocks, int row_begin, int row_end) {
+  constexpr int W = P::size();
+  const auto& st = stencils<W>();
   auto& nd = nodes_[node];
-  const auto& st = near_stencil();
-  const int W = P::size();
   const real G = opt_.G;
+  const real* hm = halo.data();
 
   for (int row = row_begin; row < row_end; ++row) {
     const int i = row / N;
     const int j = row % N;
-      for (int k = 0; k < N; k += W) {
-        const index_t cell = cell_index(i, j, k);
+    for (int q = 0; q < 2; ++q) {
+      for (int p = 0; p < pack_stencils<W>::NPK; ++p) {
+        const int k0 = q + 2 * p * W;
+        const index_t hb = hidx(i, j, k0);
         P tx, ty, tz;
-        tx.copy_from(nd.mom.data() + mc_cx * CP + cell);
-        ty.copy_from(nd.mom.data() + mc_cy * CP + cell);
-        tz.copy_from(nd.mom.data() + mc_cz * CP + cell);
+        tx.copy_from(hm + mc_cx * HP + hb);
+        ty.copy_from(hm + mc_cy * HP + hb);
+        tz.copy_from(hm + mc_cz * HP + hb);
         pack_expansion<P> acc;
-        const index_t hb = hidx(i, j, k);
-        for (const index_t off : st.lin) {
-          const index_t h = hb + off;
+        for (const auto& e : st.near[static_cast<std::size_t>(q)]) {
+          // Only leaf cells are near-field sources (nearmask 1).
+          if ((reach(e, p, i, j) & blocks.leaf) == 0) continue;
+          const index_t h = hb + e.lin;
           P m, sx, sy, sz, mask;
-          m.copy_from(halo.data() + mc_m * HP + h);
+          m.copy_from(hm + mc_m * HP + h);
           mask.copy_from(nearmask.data() + h);
-          sx.copy_from(halo.data() + mc_cx * HP + h);
-          sy.copy_from(halo.data() + mc_cy * HP + h);
-          sz.copy_from(halo.data() + mc_cz * HP + h);
+          sx.copy_from(hm + mc_cx * HP + h);
+          sy.copy_from(hm + mc_cy * HP + h);
+          sz.copy_from(hm + mc_cz * HP + h);
           p2p_pack(m * mask, tx - sx, ty - sy, tz - sz, G, acc);
         }
-        const auto add = [&](int comp, const P& v) {
-          P cur;
-          cur.copy_from(nd.exp.data() + comp * CP + cell);
-          cur += v;
-          cur.copy_to(nd.exp.data() + comp * CP + cell);
-        };
-        add(ec_l0, acc.l0);
-        for (int a = 0; a < 3; ++a) add(ec_l1 + a, acc.l1[a]);
+        real* ex = nd.exp.data() + cell_index(i, j, k0);
+        add_lanes(ex + ec_l0 * CP, acc.l0);
+        for (int a = 0; a < 3; ++a) add_lanes(ex + (ec_l1 + a) * CP, acc.l1[a]);
       }
+    }
   }
 }
 
 void fmm_solver::compute_m2l(index_t node, int chunk, int nchunks) {
   if (node == topo_.root()) {
-    if (chunk == 0) compute_m2l_root();
+    compute_m2l_root(chunk, nchunks);
     return;
   }
   auto& scratch = tls_scratch();
-  build_halo(node, scratch.halo, scratch.nearmask);
+  const halo_blocks blocks = build_halo(node, scratch.halo, scratch.nearmask);
   const int rows = N * N;
   const int rb = rows * chunk / nchunks;
   const int re = rows * (chunk + 1) / nchunks;
   if (opt_.use_simd) {
-    m2l_impl<vector_pack>(node, scratch.halo, rb, re);
+    m2l_impl<vector_pack>(node, scratch.halo, blocks, rb, re);
   } else {
-    m2l_impl<scalar_pack>(node, scratch.halo, rb, re);
+    m2l_impl<scalar_pack>(node, scratch.halo, blocks, rb, re);
   }
   // Near field on leaves, over the same (disjoint) row range so chunked
   // launches never race on the expansion arrays.
   if (topo_.node(node).leaf) {
     if (opt_.use_simd) {
-      p2p_impl<vector_pack>(node, scratch.halo, scratch.nearmask, rb, re);
+      p2p_impl<vector_pack>(node, scratch.halo, scratch.nearmask, blocks, rb,
+                            re);
     } else {
-      p2p_impl<scalar_pack>(node, scratch.halo, scratch.nearmask, rb, re);
+      p2p_impl<scalar_pack>(node, scratch.halo, scratch.nearmask, blocks, rb,
+                            re);
     }
   }
 }
@@ -470,14 +520,17 @@ void fmm_solver::compute_m2l(index_t node, int chunk, int nchunks) {
 /// The root has no parent to inherit far-field interactions from, so its
 /// cell pairs interact over the full [-7,7] offset range (Chebyshev >= 2;
 /// nearer pairs are either deferred to children or, when the root is a
-/// leaf, handled by its own P2P pass).
-void fmm_solver::compute_m2l_root() {
+/// leaf, handled by its own P2P pass).  Chunk \p chunk of \p nchunks takes
+/// a disjoint range of target i-rows.
+void fmm_solver::compute_m2l_root(int chunk, int nchunks) {
   const index_t node = topo_.root();
   auto& nd = nodes_[node];
   const bool full = !topo_.node(node).leaf;
   const real G = opt_.G;
+  const int ib = N * chunk / nchunks;
+  const int ie = N * (chunk + 1) / nchunks;
 
-  for (int ti = 0; ti < N; ++ti)
+  for (int ti = ib; ti < ie; ++ti)
     for (int tj = 0; tj < N; ++tj)
       for (int tk = 0; tk < N; ++tk) {
         const index_t t = cell_index(ti, tj, tk);
@@ -516,11 +569,14 @@ void fmm_solver::compute_m2l_root() {
 
   if (topo_.node(node).leaf) {
     auto& scratch = tls_scratch();
-    build_halo(node, scratch.halo, scratch.nearmask);
+    const halo_blocks blocks =
+        build_halo(node, scratch.halo, scratch.nearmask);
     if (opt_.use_simd) {
-      p2p_impl<vector_pack>(node, scratch.halo, scratch.nearmask, 0, N * N);
+      p2p_impl<vector_pack>(node, scratch.halo, scratch.nearmask, blocks,
+                            ib * N, ie * N);
     } else {
-      p2p_impl<scalar_pack>(node, scratch.halo, scratch.nearmask, 0, N * N);
+      p2p_impl<scalar_pack>(node, scratch.halo, scratch.nearmask, blocks,
+                            ib * N, ie * N);
     }
   }
 }
@@ -720,7 +776,7 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
   g.mom_free.resize(nn);
   g.exp_free.resize(nn);
   g.leaf_out.resize(nn);
-  g.tasks.reserve(nn * static_cast<std::size_t>(nchunks + 4));
+  g.tasks.reserve(nn * static_cast<std::size_t>(nchunks + 4) + N);
   const auto track = [&g](sf f) {
     g.tasks.push_back(f);
     return f;
@@ -772,11 +828,12 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
 
   // M2L per (node, chunk), leaf P2P fused over the same disjoint rows —
   // ready once the node is zeroed and the node's + same-level neighbors'
-  // moments are set.  The root collapses to one task (compute_m2l_root).
+  // moments are set.  The root's direct all-pairs pass is the longest
+  // single kernel and gates every L2L, so it always runs as N row tasks.
   std::vector<std::vector<sf>> m2l(nn);
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {
     const auto ni = static_cast<std::size_t>(n);
-    const int nc = (n == topo_.root()) ? 1 : nchunks;
+    const int nc = (n == topo_.root()) ? N : nchunks;
     std::vector<sf> deps;
     deps.push_back(zero[ni]);
     deps.push_back(mom_set[ni]);

@@ -5,9 +5,14 @@
 /// The solve follows the paper's three phases (§VII-C):
 ///   1. bottom-up tree traversal: P2M at leaves, M2M upward;
 ///   2. same-level cell-to-cell interactions on every tree level — the
-///      "Multipole kernel", a 316-offset stencil over each node's 8^3 cells
-///      and its 26 same-level neighbors (plus monopole near field on
-///      leaves);
+///      "Multipole kernel": each node's 8^3 cells against a halo of its 26
+///      same-level neighbors, stored parity-major along k so a SIMD pack
+///      holds cells of one parity and runs that parity's 189-offset
+///      stencil.  Sources split into two classes: multipole sources (cells
+///      of refined nodes) and monopole sources (leaf cells, q = o = 0, a
+///      cheaper kernel on leaf targets); empty halo blocks are skipped.
+///      Leaves add the monopole near field (P2P).  The root, which has no
+///      neighbors, interacts its own cells directly in N row tasks;
 ///   3. top-down traversal: L2L shifts of the local expansions to children,
 ///      and evaluation phi = L0, g = -L1 at leaf cells.
 ///
@@ -18,6 +23,7 @@
 /// once, and the pairwise evaluation conserves linear momentum to machine
 /// precision.
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -159,9 +165,17 @@ class fmm_solver {
     std::vector<std::vector<real>> host_acc;  ///< 4 x C3 per host, by hosts[]
   };
 
+  /// Which of a node's 27 halo blocks hold cells: bit (di+1)*9 + (dj+1)*3
+  /// + (dk+1) stands for the node itself (0,0,0) or its neighbor in
+  /// direction (di, dj, dk).  An absent block is empty halo: m = 0.
+  struct halo_blocks {
+    std::uint32_t present = 0;  ///< a same-level node is there
+    std::uint32_t leaf = 0;     ///< ...and it is a leaf (q = o = 0)
+  };
+
   void compute_m2m(index_t node);
   void compute_m2l(index_t node, int chunk, int nchunks);
-  void compute_m2l_root();
+  void compute_m2l_root(int chunk, int nchunks);
   void compute_fine_coarse_pairs(index_t node);
   void apply_fine_coarse(index_t node);
   void compute_l2l(index_t node);
@@ -172,15 +186,15 @@ class fmm_solver {
   }
 
   template <typename P>
-  void m2l_impl(index_t node, const std::vector<real>& halo, int row_begin,
-                int row_end);
+  void m2l_impl(index_t node, const std::vector<real>& halo,
+                halo_blocks blocks, int row_begin, int row_end);
   template <typename P>
   void p2p_impl(index_t node, const std::vector<real>& halo,
-                const std::vector<real>& nearmask, int row_begin,
-                int row_end);
+                const std::vector<real>& nearmask, halo_blocks blocks,
+                int row_begin, int row_end);
 
-  void build_halo(index_t node, std::vector<real>& halo,
-                  std::vector<real>& nearmask) const;
+  halo_blocks build_halo(index_t node, std::vector<real>& halo,
+                         std::vector<real>& nearmask) const;
 
   const tree::topology& topo_;
   gravity_options opt_;

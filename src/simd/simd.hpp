@@ -16,6 +16,13 @@
 /// `simd<T>` defaults to the widest ABI the target supports, and defining
 /// OCTO_SIMD_FORCE_SCALAR rebinds the default to scalar — this is the switch
 /// the paper flips for Fig. 7.
+///
+/// Floating-point contraction: GCC fuses `a * b + c` into one FMA whenever
+/// the target has FMA instructions (-ffp-contract=fast), for plain doubles
+/// and vector-extension types alike.  Where a kernel must reproduce the bits
+/// of another formulation that rounds the product first, it wraps the
+/// product in `rounded()`, a lane-wise identity the compiler may not fuse
+/// across.
 
 #include <algorithm>
 #include <cmath>
@@ -24,6 +31,36 @@
 #include <type_traits>
 
 namespace octo {
+
+namespace simd_detail {
+/// Identity that blocks reassociation and FMA contraction of its operand
+/// with the surrounding expression (scalars and vector-extension types).
+template <typename V>
+inline V assoc_barrier(V v) {
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_assoc_barrier)
+  v = __builtin_assoc_barrier(v);
+#endif
+#endif
+  return v;
+}
+
+/// assoc_barrier() for one scalar, also pinned to a register by an empty
+/// asm.  GCC 12.2 can lose the barrier in scalar code: in the gravity M2L
+/// loop four `acc += rounded(m * d)` lines were packed into one fused
+/// vector FMA.  The optimizer cannot see through the asm.
+template <typename T>
+inline T scalar_barrier(T v) {
+  v = assoc_barrier(v);
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__)) && \
+    defined(__SSE2__)
+  __asm__("" : "+x"(v));
+#elif defined(__GNUC__) && defined(__aarch64__)
+  __asm__("" : "+w"(v));
+#endif
+  return v;
+}
+}  // namespace simd_detail
 
 namespace simd_abi {
 
@@ -158,6 +195,11 @@ class simd<T, simd_abi::scalar> {
   friend simd max(simd a, simd b) { return simd(std::max(a.v_, b.v_)); }
   friend simd fma(simd a, simd b, simd c) {
     return simd(std::fma(a.v_, b.v_, c.v_));
+  }
+  /// \p a exactly, but never fused with the operation that consumes it:
+  /// `c + rounded(a * b)` rounds the product before the add.
+  friend simd rounded(simd a) {
+    return simd(simd_detail::scalar_barrier(a.v_));
   }
   friend simd copysign(simd a, simd b) {
     return simd(std::copysign(a.v_, b.v_));
@@ -339,6 +381,10 @@ class simd<T, simd_abi::fixed<N>> {
   friend simd min(simd a, simd b) { return select(a < b, a, b); }
   friend simd max(simd a, simd b) { return select(a > b, a, b); }
   friend simd fma(simd a, simd b, simd c) { return simd(a.v_ * b.v_ + c.v_); }
+  /// Lane-wise \p a, never fused with its consumer (see the scalar ABI).
+  friend simd rounded(simd a) {
+    return simd(simd_detail::assoc_barrier(a.v_));
+  }
   friend simd copysign(simd a, simd b) {
     simd r;
     for (int i = 0; i < N; ++i) r.v_[i] = std::copysign(a.v_[i], b.v_[i]);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "common/random.hpp"
 #include "gravity/solver.hpp"
@@ -207,6 +210,79 @@ TEST_F(GravityEnv, AmrTreeAccuracyVsDirect) {
   EXPECT_LT(emax / gmax, 2e-2);
 }
 
+std::uint64_t bits_of(real v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// Accumulate random monopole sources (q = o = 0) into one target pack
+/// through both M2L paths and require bit-equal L0/L1.  Sources mimic the
+/// halo: cells 2-7 cell widths away, some massless, some empty halo (m = 0,
+/// COM at 1e30).
+template <typename P>
+void expect_monopole_path_matches_full_pack(std::uint64_t seed) {
+  xoshiro256 rng(seed);
+  const real G = units::G_code;
+  for (int trial = 0; trial < 200; ++trial) {
+    const real dx = rng.uniform(1e-3, 1.0);
+    P tx, ty, tz;
+    for (int l = 0; l < P::size(); ++l) {
+      tx.set(l, rng.uniform(-4, 4));
+      ty.set(l, rng.uniform(-4, 4));
+      tz.set(l, rng.uniform(-4, 4));
+    }
+    pack_expansion<P> full, mono, mixed;
+    for (int s = 0; s < 40; ++s) {
+      pack_multipole<P> src;
+      for (int l = 0; l < P::size(); ++l) {
+        const real kind = rng.uniform();
+        const bool empty = kind < 0.15;
+        src.m.set(l, (empty || kind < 0.25) ? real(0) : rng.uniform(0, 3));
+        const real off[3] = {rng.uniform(2, 7) * dx, rng.uniform(-7, 7) * dx,
+                             rng.uniform(-7, 7) * dx};
+        src.cx.set(l, empty ? real(1e30) : tx[l] - off[0]);
+        src.cy.set(l, empty ? real(1e30) : ty[l] - off[1]);
+        src.cz.set(l, empty ? real(1e30) : tz[l] - off[2]);
+      }
+      for (auto& q : src.q) q = P(0);
+      for (auto& o : src.o) o = P(0);
+      pack_derivs<P> d;
+      compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
+      m2l_pack<P, false>(src, d, full);
+      // Like the solver, `mixed` switches paths from source to source.  In
+      // that shape GCC 12.2 once fused the monopole path's products on the
+      // scalar ABI (see simd_detail::scalar_barrier).
+      if (s % 3 == 0) {
+        m2l_pack<P, false>(src, d, mixed);
+      } else {
+        m2l_monopole_pack(src.m, tx - src.cx, ty - src.cy, tz - src.cz, G,
+                          mixed);
+      }
+      m2l_monopole_pack(src.m, tx - src.cx, ty - src.cy, tz - src.cz, G,
+                        mono);
+    }
+    for (const auto* acc : {&mono, &mixed})
+      for (int l = 0; l < P::size(); ++l) {
+        ASSERT_EQ(bits_of(full.l0[l]), bits_of(acc->l0[l]))
+            << "trial " << trial << " lane " << l;
+        for (int a = 0; a < 3; ++a)
+          ASSERT_EQ(bits_of(full.l1[a][l]), bits_of(acc->l1[a][l]))
+              << "trial " << trial << " lane " << l << " L1[" << a << "]";
+      }
+  }
+}
+
+TEST(GravityKernels, MonopolePathMatchesFullPackBitwise) {
+  // The solver sends leaf-source packs on leaf targets through the
+  // monopole path; the golden signatures rely on this being bit-exact.
+  // Checked here directly so hosts whose build fingerprint has no recorded
+  // goldens still guard it.
+  expect_monopole_path_matches_full_pack<
+      simd<real, simd_abi::native<real>>>(11);
+  expect_monopole_path_matches_full_pack<simd<real, simd_abi::scalar>>(12);
+}
+
 TEST_F(GravityEnv, ScalarAndSimdKernelsAgree) {
   tree::topology topo(1.0, 2, uniform_to(2));
   gravity_options o1, o2;
@@ -231,32 +307,68 @@ class ChunkInvariance : public testing::TestWithParam<int> {
  protected:
   amt::runtime rt{3};
   amt::scoped_global_runtime guard{rt};
+
+  /// Solve with m2l_chunks = 1 and = GetParam(); every expansion and
+  /// output must match bit for bit (the root always runs as row tasks).
+  void expect_chunk_invariant(const tree::topology& topo,
+                              std::uint64_t seed) {
+    gravity_options ref_opt;
+    ref_opt.m2l_chunks = 1;
+    fmm_solver ref(topo, ref_opt);
+    gravity_options opt;
+    opt.m2l_chunks = GetParam();
+    fmm_solver fmm(topo, opt);
+    for (const index_t leaf : topo.leaves()) {
+      const auto rho = blob_density(topo, leaf, seed);
+      ref.set_leaf_density(leaf, rho);
+      fmm.set_leaf_density(leaf, rho);
+    }
+    ref.solve();
+    fmm.solve();
+    const auto expect_bitwise = [](std::span<const real> a,
+                                   std::span<const real> b, index_t node,
+                                   const char* what) {
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t c = 0; c < a.size(); ++c)
+        ASSERT_EQ(bits_of(a[c]), bits_of(b[c]))
+            << what << " node " << node << " slot " << c;
+    };
+    for (index_t n = 0; n < topo.num_nodes(); ++n)
+      expect_bitwise(ref.raw_expansions(n), fmm.raw_expansions(n), n, "exp");
+    for (const index_t leaf : topo.leaves()) {
+      expect_bitwise(ref.phi(leaf), fmm.phi(leaf), leaf, "phi");
+      expect_bitwise(ref.gx(leaf), fmm.gx(leaf), leaf, "gx");
+      expect_bitwise(ref.gy(leaf), fmm.gy(leaf), leaf, "gy");
+      expect_bitwise(ref.gz(leaf), fmm.gz(leaf), leaf, "gz");
+    }
+  }
 };
 
 TEST_P(ChunkInvariance, ChunkCountDoesNotChangeResult) {
   // The paper's Fig. 9 knob is performance-only: results must be identical.
   tree::topology topo(1.0, 1, uniform_to(1));
-  gravity_options ref_opt;
-  ref_opt.m2l_chunks = 1;
-  fmm_solver ref(topo, ref_opt);
-  gravity_options opt;
-  opt.m2l_chunks = GetParam();
-  fmm_solver fmm(topo, opt);
+  expect_chunk_invariant(topo, 3);
+}
+
+TEST_P(ChunkInvariance, AmrTreeWithMixedNeighbors) {
+  // Level-1 leaves beside refined level-1 nodes: their packs mix monopole
+  // (leaf) and multipole (refined) sources, and chunked rows split both.
+  const auto refine = [](int lvl, const rvec3& c, real) {
+    return lvl < 1 || (lvl < 2 && c.x < 0);
+  };
+  tree::topology topo(1.0, 2, refine);
+  bool mixed = false;
   for (const index_t leaf : topo.leaves()) {
-    const auto rho = blob_density(topo, leaf, 3);
-    ref.set_leaf_density(leaf, rho);
-    fmm.set_leaf_density(leaf, rho);
-  }
-  ref.solve();
-  fmm.solve();
-  for (const index_t leaf : topo.leaves()) {
-    auto a = ref.phi(leaf), b = fmm.phi(leaf);
-    auto ax = ref.gx(leaf), bx = fmm.gx(leaf);
-    for (int c = 0; c < 512; ++c) {
-      ASSERT_DOUBLE_EQ(a[c], b[c]);
-      ASSERT_DOUBLE_EQ(ax[c], bx[c]);
+    bool leaf_nb = false, refined_nb = false;
+    for (int d = 0; d < NNEIGHBOR; ++d) {
+      const index_t nb = topo.neighbor(leaf, d);
+      if (nb == tree::invalid_node) continue;
+      (topo.node(nb).leaf ? leaf_nb : refined_nb) = true;
     }
+    mixed = mixed || (leaf_nb && refined_nb);
   }
+  ASSERT_TRUE(mixed);
+  expect_chunk_invariant(topo, 19);
 }
 
 INSTANTIATE_TEST_SUITE_P(Chunks, ChunkInvariance, testing::Values(2, 4, 16));

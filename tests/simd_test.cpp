@@ -52,6 +52,18 @@ TYPED_TEST(SimdTest, Arithmetic) {
   }
 }
 
+TYPED_TEST(SimdTest, RoundedProductIsNotFused) {
+  // a + b*c = -2^-60 exactly; fused into one FMA that is what comes out.
+  // rounded() must round b*c to 1 first, so the sum is exactly 0.
+  using P = typename TestFixture::pack;
+  volatile double va = -1.0;
+  volatile double vb = 1.0 + std::ldexp(1.0, -30);
+  volatile double vc = 1.0 - std::ldexp(1.0, -30);
+  const P a(va), b(vb), c(vc);
+  const P r = a + rounded(b * c);
+  for (int l = 0; l < P::size(); ++l) EXPECT_EQ(r[l], 0.0) << "lane " << l;
+}
+
 TYPED_TEST(SimdTest, CompoundAssign) {
   using P = typename TestFixture::pack;
   P a(2.0);

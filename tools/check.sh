@@ -1,7 +1,9 @@
 #!/bin/sh
 # Project correctness gate: octo_lint + the registry/schema sync tests,
-# the golden step signatures (ctest label `golden`), plus clang-tidy over
-# src/ when available.  Run from anywhere:
+# the golden step signatures (ctest label `golden`), the bitwise gravity
+# kernel tests (monopole path == full pack, chunk invariance; these hold
+# on every build fingerprint), plus clang-tidy over src/ when available.
+# Run from anywhere:
 #
 #   tools/check.sh [BUILD_DIR]      # default build dir: ./build
 #
@@ -27,9 +29,12 @@ cmake --build "$build_dir" --target lint_test metrics_test -- -j >/dev/null
 "$build_dir/tests/metrics_test" \
   --gtest_filter='Metrics.SchemaMatchesCsvJsonlAndDocs' --gtest_brief=1
 
-echo "== golden step signatures =="
-cmake --build "$build_dir" --target golden_step_test -- -j >/dev/null
+echo "== golden step signatures + bitwise gravity kernels =="
+cmake --build "$build_dir" --target golden_step_test gravity_test -- -j \
+  >/dev/null
 "$build_dir/tests/golden_step_test" --gtest_brief=1
+"$build_dir/tests/gravity_test" --gtest_brief=1 \
+  --gtest_filter='GravityKernels.*:Chunks/ChunkInvariance.*'
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy (bugprone/concurrency/performance) =="
