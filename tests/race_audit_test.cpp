@@ -4,12 +4,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "amt/runtime.hpp"
 #include "apex/race_audit.hpp"
 #include "app/simulation.hpp"
 #include "common/error.hpp"
+#include "dist/cluster.hpp"
 #include "gravity/solver.hpp"
 #include "scenarios/scenarios.hpp"
 
@@ -245,6 +248,172 @@ TEST_F(RaceAuditSim, StandaloneSolveGraphAuditsClean) {
   for (const auto& n : graph.nodes)
     saw_fc_apply = saw_fc_apply || std::string(n.cls) == "fc-apply";
   EXPECT_TRUE(saw_fc_apply) << "level-3 tree without refinement boundaries?";
+}
+
+/// Per-kernel-class node counts ("cls") and dependency-edge counts
+/// ("producer->consumer") of one recorded dataflow step, plus "#order": the
+/// low 16 bits of a fold over every node's class and its dependency ids in
+/// declaration order, so a reordered edge list (which changes which error
+/// a failing task reports first) shows too.
+using shape_counts = std::map<std::string, std::size_t>;
+
+shape_counts graph_shape(const graph_profile& g) {
+  shape_counts c;
+  std::uint64_t order = 1469598103934665603ull;
+  const auto fold = [&order](std::uint64_t v) {
+    order = (order ^ v) * 1099511628211ull;
+  };
+  for (const auto& n : g.nodes) {
+    ++c[n.cls];
+    for (const char* p = n.cls; *p != '\0'; ++p)
+      fold(static_cast<unsigned char>(*p));
+    for (const std::uint32_t d : n.deps) {
+      ++c[std::string(g.nodes[d].cls) + "->" + n.cls];
+      fold(d);
+    }
+    fold(0xffffffffu);
+  }
+  c["#order"] = static_cast<std::size_t>(order & 0xffffu);
+  return c;
+}
+
+std::string shape_listing(const shape_counts& c) {
+  std::ostringstream os;
+  for (const auto& [k, v] : c)
+    os << "      {\"" << k << "\", " << v << "},\n";
+  return os.str();
+}
+
+/// Run one audited dataflow step of \p driver (already initialized) and
+/// return the shape of its recorded graph (read back from the
+/// OCTO_RACE_AUDIT_DUMP file the auditor writes).
+template <typename Driver>
+shape_counts recorded_step_shape(Driver& driver, const std::string& dump) {
+  ::setenv("OCTO_RACE_AUDIT_DUMP", dump.c_str(), 1);
+  driver.step();
+  ::unsetenv("OCTO_RACE_AUDIT_DUMP");
+  std::ifstream in(dump);
+  EXPECT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(dump.c_str());
+  return graph_shape(load_graph_json(text.str()).graph);
+}
+
+/// \p base with the entries of \p changes overwritten or added.
+shape_counts with(shape_counts base, const shape_counts& changes) {
+  for (const auto& [k, v] : changes) base[k] = v;
+  return base;
+}
+
+TEST_F(RaceAuditSim, StepGraphShapeIsFrozen) {
+  // The dataflow step's task graph, frozen per kernel class (node counts,
+  // producer->consumer edge counts, and the edge-order fold).  A lost or
+  // extra edge can leave every golden signature equal by scheduling luck;
+  // this catches it.  Graphs: rotating_star in the single-process driver
+  // at L2 (uniform) and L3 (refined: prolongation and fine-coarse gravity),
+  // the shared-SCF dwd at L2 in a 4-locality cluster with and without the
+  // same-locality direct-access optimization (direct-token WAR edges vs.
+  // the fully serialized exchange), and rotating_star L3 in a 4-locality
+  // cluster (prolongation gated on unpacked host faces).  A cluster graph
+  // is written as the same-tree simulation graph plus what differs: its
+  // leaf-leaf faces travel through send/unpack tasks instead of copy.
+  const std::string dump = "race_audit_shape_test.json";
+  const auto sim_shape = [&](int level) {
+    app::sim_options opt = dataflow_options();
+    opt.max_level = level;
+    app::simulation sim(scen::rotating_star(), opt);
+    sim.initialize();
+    return recorded_step_shape(sim, dump);
+  };
+  const auto cluster_shape = [&](const scen::scenario& sc, int level,
+                                 bool local_opt) {
+    dist::dist_options o;
+    o.num_localities = 4;
+    o.local_optimization = local_opt;
+    o.sim = dataflow_options();
+    o.sim.max_level = level;
+    dist::cluster cl(sc, o);
+    cl.initialize();
+    return recorded_step_shape(cl, dump);
+  };
+  const auto expect_shape = [](const char* what, const shape_counts& got,
+                               const shape_counts& want) {
+    EXPECT_EQ(got, want) << what << " step graph changed; it now reads:\n"
+                         << shape_listing(got);
+  };
+
+  const shape_counts sim_l2 = {
+      {"#order", 18170}, {"L2L", 216}, {"L2L->L2L", 192},
+      {"L2L->evaluate", 192}, {"L2L->join", 648}, {"M2L", 240},
+      {"M2L->L2L", 216}, {"M2L->join", 3240}, {"M2M", 27}, {"M2M->M2L", 216},
+      {"M2M->M2M", 24}, {"M2M->join", 216}, {"copy", 219},
+      {"copy->copy", 146}, {"copy->dt-reduce", 64}, {"copy->hydro-RK", 2000},
+      {"copy->restrict", 130}, {"dt-reduce", 64}, {"evaluate", 192},
+      {"evaluate->hydro-RK", 128}, {"evaluate->zero", 128}, {"hydro-RK", 192},
+      {"hydro-RK->copy", 3000}, {"hydro-RK->dt-reduce", 64},
+      {"hydro-RK->restrict", 192}, {"hydro-RK->set-density", 192},
+      {"join", 249}, {"join->L2L", 24}, {"join->M2M", 18},
+      {"join->set-density", 128}, {"join->zero", 18}, {"restrict", 27},
+      {"restrict->copy", 195}, {"restrict->hydro-RK", 128},
+      {"restrict->restrict", 40}, {"set-density", 192},
+      {"set-density->M2L", 3000}, {"set-density->M2M", 192},
+      {"set-density->hydro-RK", 128}, {"snapshot", 64},
+      {"snapshot->hydro-RK", 64}, {"zero", 219}, {"zero->M2L", 240},
+  };
+  const shape_counts sim_l3 = {
+      {"#order", 56018}, {"L2L", 408}, {"L2L->L2L", 384},
+      {"L2L->evaluate", 360}, {"L2L->join", 1224}, {"M2L", 432},
+      {"M2L->L2L", 408}, {"M2L->fc-apply", 336}, {"M2L->join", 6240},
+      {"M2M", 51}, {"M2M->M2L", 864}, {"M2M->M2M", 48}, {"M2M->join", 408},
+      {"copy", 411}, {"copy->copy", 274}, {"copy->dt-reduce", 120},
+      {"copy->hydro-RK", 3568}, {"copy->prolong", 888},
+      {"copy->restrict", 562}, {"dt-reduce", 120}, {"evaluate", 360},
+      {"evaluate->fc-pair", 704}, {"evaluate->hydro-RK", 240},
+      {"evaluate->zero", 240}, {"fc-apply", 336}, {"fc-apply->L2L", 336},
+      {"fc-pair", 168}, {"fc-pair->fc-apply", 1056}, {"fc-pair->join", 1056},
+      {"hydro-RK", 360}, {"hydro-RK->copy", 5352},
+      {"hydro-RK->dt-reduce", 120}, {"hydro-RK->prolong", 1056},
+      {"hydro-RK->restrict", 360}, {"hydro-RK->set-density", 360},
+      {"join", 465}, {"join->L2L", 24}, {"join->M2M", 34},
+      {"join->set-density", 240}, {"join->zero", 34}, {"prolong", 168},
+      {"prolong->copy", 592}, {"prolong->dt-reduce", 56},
+      {"prolong->hydro-RK", 704}, {"restrict", 51}, {"restrict->copy", 843},
+      {"restrict->hydro-RK", 240}, {"restrict->restrict", 80},
+      {"set-density", 360}, {"set-density->M2L", 5352},
+      {"set-density->M2M", 360}, {"set-density->fc-pair", 1056},
+      {"set-density->hydro-RK", 240}, {"snapshot", 120},
+      {"snapshot->hydro-RK", 120}, {"zero", 411}, {"zero->M2L", 432},
+  };
+  const shape_counts cluster_l2 = with(sim_l2, {
+      {"#order", 24558}, {"copy->hydro-RK", 128}, {"hydro-RK->copy", 192},
+      {"hydro-RK->send", 192}, {"hydro-RK->unpack", 2808}, {"send", 192},
+      {"send->hydro-RK", 128}, {"send->send", 128}, {"unpack", 2808},
+      {"unpack->dt-reduce", 936}, {"unpack->hydro-RK", 3024},
+      {"unpack->unpack", 1872},
+  });
+  const shape_counts cluster_l2_serialized = with(cluster_l2, {
+      {"#order", 2638}, {"unpack->hydro-RK", 1872},
+  });
+  const shape_counts cluster_l3 = with(sim_l3, {
+      {"#order", 50662}, {"copy->hydro-RK", 544}, {"hydro-RK->copy", 816},
+      {"hydro-RK->send", 360}, {"hydro-RK->unpack", 4536},
+      {"prolong->unpack", 7008}, {"send", 360}, {"send->hydro-RK", 240},
+      {"send->send", 240}, {"unpack", 4536}, {"unpack->dt-reduce", 1512},
+      {"unpack->hydro-RK", 4992}, {"unpack->prolong", 10512},
+      {"unpack->unpack", 3024},
+  });
+
+  expect_shape("rotating_star L2 simulation", sim_shape(2), sim_l2);
+  expect_shape("rotating_star L3 simulation", sim_shape(3), sim_l3);
+  // One shared binary-SCF scenario: copies share the lazily-run SCF.
+  const scen::scenario dwd = scen::dwd();
+  expect_shape("dwd L2 cluster (local_optimization on)",
+               cluster_shape(dwd, 2, true), cluster_l2);
+  expect_shape("dwd L2 cluster (local_optimization off)",
+               cluster_shape(dwd, 2, false), cluster_l2_serialized);
+  expect_shape("rotating_star L3 cluster",
+               cluster_shape(scen::rotating_star(), 3, true), cluster_l3);
 }
 
 TEST_F(RaceAuditSim, StepModeOptionThrowsOnBrokenGraphViaSimOptions) {
