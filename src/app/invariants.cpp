@@ -1,8 +1,8 @@
 #include "app/invariants.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "app/simulation.hpp"
@@ -18,10 +18,9 @@ bool audit_options::default_audit_enabled() {
 }
 
 int audit_options::default_audit_every() {
-  const auto v = config::env("OCTO_AUDIT_EVERY");
-  if (!v) return 4;
-  const long e = std::strtol(v->c_str(), nullptr, 10);
-  return e > 0 ? static_cast<int>(e) : 4;
+  return static_cast<int>(
+      config::env_long("OCTO_AUDIT_EVERY", 1, std::numeric_limits<int>::max())
+          .value_or(4));
 }
 
 const sdc_metric_ids& sdc_metrics() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "amt/future.hpp"
 #include "apex/apex.hpp"
 #include "apex/trace.hpp"
 #include "common/error.hpp"
@@ -40,199 +39,6 @@ step_timers& timers() {
   return t;
 }
 }  // namespace
-
-void simulation::step_graph(real dt) {
-  using sf = amt::shared_future<void>;
-  auto& rt = space_.runtime();
-  const auto nn = static_cast<std::size_t>(topo_->num_nodes());
-  const auto& leaves = topo_->leaves();
-
-  std::vector<sf> all;  // every task in build order: the step's one join
-  all.reserve(nn * 16);
-  const auto track = [&all](sf f) {
-    all.push_back(f);
-    return f;
-  };
-
-  // u0 snapshot: per-leaf tasks (step entry is a resolved point, no deps).
-  std::vector<sf> snap(nn);
-  for (const index_t l : leaves)
-    snap[static_cast<std::size_t>(l)] = track(amt::dataflow(
-        "snapshot",
-        apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::stage0, l),
-        [this, l] { save_stage0(l); }, std::vector<sf>{}, rt));
-
-  // Per-stage edges of the previous RK stage (WAR/WAW hazards).
-  std::vector<sf> prevH(nn), prevR(nn), prevC(nn), prevP(nn), prevD(nn);
-  gravity::fmm_solver::solve_graph gprev;
-  bool have_gprev = false;
-
-  for (int s = 0; s < 3; ++s) {
-    const real ca = rk3_ca[s], cb = rk3_cb[s];
-    std::vector<sf> H(nn), R(nn), C(nn), P(nn), D(nn);
-    // content(n): the task that produced node n's owned cells this stage.
-    const auto content = [&](index_t n) {
-      return topo_->node(n).leaf ? H[static_cast<std::size_t>(n)]
-                                 : R[static_cast<std::size_t>(n)];
-    };
-
-    // Hydro: each leaf fires on its *own* ghost-ready and gravity edges —
-    // interior leaves run while boundary work elsewhere is still in flight.
-    for (const index_t l : leaves) {
-      const auto li = static_cast<std::size_t>(l);
-      std::vector<sf> deps;
-      if (s == 0) {
-        deps.push_back(snap[li]);
-      } else {
-        deps.push_back(prevC[li]);  // own same-level ghosts filled
-        if (prevP[li].valid()) deps.push_back(prevP[li]);  // coarse faces
-        if (opt_.self_gravity) deps.push_back(gprev.leaf_out[li]);
-        // WAR: last stage's readers of this leaf's owned cells.
-        for (int d = 0; d < NNEIGHBOR; ++d) {
-          const index_t nb = topo_->neighbor(l, d);
-          if (nb != tree::invalid_node)
-            deps.push_back(prevC[static_cast<std::size_t>(nb)]);
-        }
-        const index_t par = topo_->node(l).parent;
-        if (par != tree::invalid_node)
-          deps.push_back(prevR[static_cast<std::size_t>(par)]);
-        for (const index_t f : pclients_[li])
-          deps.push_back(prevP[static_cast<std::size_t>(f)]);
-        if (prevD[li].valid()) deps.push_back(prevD[li]);
-      }
-      H[li] = track(amt::dataflow(
-          "hydro-RK", hydro_footprint(l),
-          [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); },
-          std::move(deps), rt));
-    }
-
-    // Restriction: parent-on-children dependencies replace the per-level
-    // barrier of exchange_ghosts() phase 1.
-    for (int lvl = topo_->max_depth() - 1; lvl >= 0; --lvl) {
-      for (const index_t n : topo_->nodes_at_level(lvl)) {
-        if (topo_->node(n).leaf) continue;
-        const auto ni = static_cast<std::size_t>(n);
-        std::vector<sf> deps;
-        for (int oct = 0; oct < NCHILD; ++oct)
-          deps.push_back(content(topo_->node(n).children[oct]));
-        if (s > 0) {
-          // WAR: last stage's readers of this node's owned restriction.
-          deps.push_back(prevC[ni]);  // own outflow fill read the interior
-          for (int d = 0; d < NNEIGHBOR; ++d) {
-            const index_t nb = topo_->neighbor(n, d);
-            if (nb != tree::invalid_node)
-              deps.push_back(prevC[static_cast<std::size_t>(nb)]);
-          }
-          const index_t par = topo_->node(n).parent;
-          if (par != tree::invalid_node)
-            deps.push_back(prevR[static_cast<std::size_t>(par)]);
-          for (const index_t f : pclients_[ni])
-            deps.push_back(prevP[static_cast<std::size_t>(f)]);
-        }
-        R[ni] = track(amt::dataflow("restrict", restrict_footprint(n),
-                                    [this, n] { restrict_node(n); },
-                                    std::move(deps), rt));
-      }
-    }
-
-    // Same-level ghost copies + outflow fills: fire per node when the
-    // sources (neighbors' owned cells) are produced and this node's ghosts
-    // are no longer being read.
-    for (index_t n = 0; n < topo_->num_nodes(); ++n) {
-      const auto ni = static_cast<std::size_t>(n);
-      std::vector<sf> deps;
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(n, d);
-        if (nb != tree::invalid_node) deps.push_back(content(nb));
-      }
-      if (topo_->node(n).leaf)
-        deps.push_back(H[ni]);  // WAR: hydro read these ghosts
-      else
-        deps.push_back(R[ni]);  // RAW: outflow reads the restricted interior
-      if (s > 0) {
-        if (prevC[ni].valid()) deps.push_back(prevC[ni]);  // WAW
-        for (const index_t f : pclients_[ni])
-          deps.push_back(prevP[static_cast<std::size_t>(f)]);  // WAR
-      }
-      C[ni] = track(amt::dataflow("copy", copy_footprint(n),
-                                  [this, n] { copy_ghosts(n); },
-                                  std::move(deps), rt));
-    }
-
-    // Coarse-to-fine prolongation: per fine leaf, gated on its hosts'
-    // owned + ghost state (ascending level order makes host P edges exist).
-    for (const auto& level : leaves_by_level_) {
-      for (const index_t l : level) {
-        const auto li = static_cast<std::size_t>(l);
-        if (phosts_[li].empty()) continue;
-        std::vector<sf> deps;
-        deps.push_back(H[li]);  // WAR: hydro read these ghost faces
-        for (const index_t h : phosts_[li]) {
-          const auto hi = static_cast<std::size_t>(h);
-          deps.push_back(content(h));
-          deps.push_back(C[hi]);
-          if (P[hi].valid()) deps.push_back(P[hi]);
-        }
-        if (s > 0)
-          for (const index_t f : pclients_[li])
-            deps.push_back(prevP[static_cast<std::size_t>(f)]);  // WAR
-        P[li] = track(amt::dataflow("prolong", prolong_footprint(l),
-                                    [this, l] { prolong_leaf(l); },
-                                    std::move(deps), rt));
-      }
-    }
-
-    // Gravity: per-leaf density refresh feeding the solver's task graph.
-    if (opt_.self_gravity) {
-      std::vector<sf> mom_ready(nn);
-      for (const index_t l : leaves) {
-        const auto li = static_cast<std::size_t>(l);
-        std::vector<sf> deps;
-        deps.push_back(H[li]);
-        if (have_gprev) deps.push_back(gprev.mom_free[li]);
-        D[li] = track(amt::dataflow(
-            "set-density",
-            apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::moment, l),
-            [this, l] { set_density(l); }, std::move(deps), rt));
-        mom_ready[li] = D[li];
-      }
-      gravity::fmm_solver::solve_graph g = grav_->solve_dataflow(
-          space_, mom_ready, have_gprev ? &gprev : nullptr);
-      for (const auto& t : g.tasks) all.push_back(t);
-      gprev = std::move(g);
-      have_gprev = true;
-    }
-
-    prevH = std::move(H);
-    prevR = std::move(R);
-    prevC = std::move(C);
-    prevP = std::move(P);
-    prevD = std::move(D);
-  }
-
-  // dt reduction: per-leaf signal speeds fire as each leaf's final state
-  // settles; the serial max-reduce runs after the join.
-  if (opt_.fixed_dt <= 0) {
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
-      const auto li = static_cast<std::size_t>(leaves[i]);
-      std::vector<sf> deps;
-      deps.push_back(prevH[li]);
-      deps.push_back(prevC[li]);
-      if (prevP[li].valid()) deps.push_back(prevP[li]);
-      all.push_back(sf(amt::dataflow(
-          "dt-reduce",
-          apex::access_set{}
-              .r(apex::rgn::field, leaves[i])
-              .r(apex::rgn::ghost, leaves[i])
-              .w(apex::rgn::dtred, static_cast<index_t>(i)),
-          [this, i] { store_leaf_signal(i); }, std::move(deps), rt)));
-    }
-  }
-
-  // The step's only global join: drain the graph, surfacing the first
-  // task error in deterministic build order.
-  amt::get_all(all, rt);
-}
 
 real simulation::step() {
   OCTO_CHECK_MSG(initialized_, "call initialize() first");

@@ -54,10 +54,6 @@ class simulation : public step_engine {
 
  private:
   const sim_options& sim_opts() const override { return opt_; }
-  /// The three RK stages as one per-leaf dependency graph: hydro chained on
-  /// each leaf's own ghost/gravity edges, gravity via solve_dataflow, one
-  /// get_all join at the end, dt-reduce tasks feeding the CFL reduction.
-  void step_graph(real dt) override;
 
   scen::scenario scenario_;
   sim_options opt_;

@@ -1,8 +1,10 @@
 #include "app/step_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
+#include "amt/channel.hpp"
 #include "amt/future.hpp"
 #include "apex/apex.hpp"
 #include "apex/dag.hpp"
@@ -338,6 +340,332 @@ void step_engine::rederive() {
   exchange_ghosts();
   if (sim_opts().self_gravity) solve_gravity();
   dt_ = sim_opts().fixed_dt > 0 ? sim_opts().fixed_dt : compute_dt();
+}
+
+// ---------------------------------------------------------------------------
+// dataflow schedule
+// ---------------------------------------------------------------------------
+
+void step_engine::step_graph(real dt) {
+  using sf = amt::shared_future<void>;
+  auto& rt = space_.runtime();
+  const sim_options& o = sim_opts();
+  const auto nn = static_cast<std::size_t>(topo_->num_nodes());
+  const auto& leaves = topo_->leaves();
+  // A driver that exchanges leaf pairs moves leaf-leaf faces from the copy
+  // kernel to per-leaf send and per-link unpack tasks (link = leaf slot x
+  // 26 + direction).
+  const bool exchanged = leaf_pairs_exchanged();
+  const std::size_t nlinks = exchanged ? leaves.size() * NNEIGHBOR : 0;
+  const auto link_of = [this](index_t l, int d) {
+    return static_cast<std::size_t>(leaf_slot_[l] * NNEIGHBOR + d);
+  };
+  const auto exchanged_pair = [&](index_t n, index_t nb) {
+    return exchanged && topo_->node(n).leaf && topo_->node(nb).leaf;
+  };
+
+  // Failure latch: the first task that resolves with an exception runs the
+  // driver's failure hook (the cluster closes every channel, so arrivals
+  // whose message will now never be sent resolve with broken_channel and
+  // the drain below cannot hang).
+  struct failure_latch {
+    std::atomic<bool> fired{false};
+    std::function<void()> on_failure;
+  };
+  std::shared_ptr<failure_latch> latch;
+  if (auto hook = leaf_pair_failure_hook()) {
+    latch = std::make_shared<failure_latch>();
+    latch->on_failure = std::move(hook);
+  }
+
+  std::vector<sf> all;  // every task in build order: the deterministic drain
+  all.reserve(nn * 24);
+  const auto track = [&all, &latch](sf f) {
+    if (latch)
+      f.state()->add_continuation([latch, st = f.state()] {
+        if (st->has_exception() && !latch->fired.exchange(true))
+          latch->on_failure();
+      });
+    all.push_back(f);
+    return f;
+  };
+
+  // u0 snapshot: per-leaf tasks (step entry is a resolved point, no deps).
+  std::vector<sf> snap(nn);
+  for (const index_t l : leaves)
+    snap[static_cast<std::size_t>(l)] = track(amt::dataflow(
+        "snapshot",
+        apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::stage0, l),
+        [this, l] { save_stage0(l); }, std::vector<sf>{}, rt));
+
+  // Per-stage edges of the previous RK stage (WAR/WAW hazards).
+  std::vector<sf> prevH(nn), prevR(nn), prevC(nn), prevP(nn), prevD(nn),
+      prevSend(nn);
+  std::vector<sf> prevUnp(nlinks);
+  gravity::fmm_solver::solve_graph gprev;
+  bool have_gprev = false;
+
+  for (int s = 0; s < 3; ++s) {
+    const real ca = rk3_ca[s], cb = rk3_cb[s];
+    std::vector<sf> H(nn), R(nn), C(nn), P(nn), D(nn), SEND(nn);
+    std::vector<sf> UNP(nlinks);
+    // content(n): the task that produced node n's owned cells this stage.
+    const auto content = [&](index_t n) {
+      return topo_->node(n).leaf ? H[static_cast<std::size_t>(n)]
+                                 : R[static_cast<std::size_t>(n)];
+    };
+
+    // Hydro: each leaf fires on its *own* ghost-ready and gravity edges —
+    // interior leaves run while boundary work elsewhere is still in flight.
+    for (const index_t l : leaves) {
+      const auto li = static_cast<std::size_t>(l);
+      std::vector<sf> deps;
+      if (s == 0) {
+        deps.push_back(snap[li]);
+      } else {
+        deps.push_back(prevC[li]);  // own same-level ghosts filled
+        if (prevP[li].valid()) deps.push_back(prevP[li]);  // coarse faces
+        if (o.self_gravity) deps.push_back(gprev.leaf_out[li]);
+        for (int d = 0; d < NNEIGHBOR; ++d) {
+          const index_t nb = topo_->neighbor(l, d);
+          if (nb == tree::invalid_node) continue;
+          if (exchanged_pair(l, nb)) {
+            // Own leaf-leaf ghosts arrived and unpacked last stage...
+            deps.push_back(prevUnp[link_of(l, d)]);
+            // ...and the neighbor finished reading our owned cells when its
+            // unpack copies straight from them.
+            if (leaf_pair_reads_source(l, nb))
+              deps.push_back(prevUnp[link_of(nb, tree::dir_opposite(d))]);
+          } else {
+            // WAR: last stage's copy into the neighbor read our cells.
+            deps.push_back(prevC[static_cast<std::size_t>(nb)]);
+          }
+        }
+        if (prevSend[li].valid()) deps.push_back(prevSend[li]);
+        const index_t par = topo_->node(l).parent;
+        if (par != tree::invalid_node)
+          deps.push_back(prevR[static_cast<std::size_t>(par)]);
+        for (const index_t f : pclients_[li])
+          deps.push_back(prevP[static_cast<std::size_t>(f)]);
+        if (prevD[li].valid()) deps.push_back(prevD[li]);
+      }
+      H[li] = track(amt::dataflow(
+          "hydro-RK", hydro_footprint(l),
+          [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); },
+          std::move(deps), rt));
+    }
+
+    // Restriction: parent-on-children dependencies replace the per-level
+    // barrier of exchange_ghosts() phase 1.
+    for (int lvl = topo_->max_depth() - 1; lvl >= 0; --lvl) {
+      for (const index_t n : topo_->nodes_at_level(lvl)) {
+        if (topo_->node(n).leaf) continue;
+        const auto ni = static_cast<std::size_t>(n);
+        std::vector<sf> deps;
+        for (int oct = 0; oct < NCHILD; ++oct)
+          deps.push_back(content(topo_->node(n).children[oct]));
+        if (s > 0) {
+          // WAR: last stage's readers of this node's owned restriction.
+          deps.push_back(prevC[ni]);  // own outflow fill read the interior
+          for (int d = 0; d < NNEIGHBOR; ++d) {
+            const index_t nb = topo_->neighbor(n, d);
+            if (nb != tree::invalid_node)
+              deps.push_back(prevC[static_cast<std::size_t>(nb)]);
+          }
+          const index_t par = topo_->node(n).parent;
+          if (par != tree::invalid_node)
+            deps.push_back(prevR[static_cast<std::size_t>(par)]);
+          for (const index_t f : pclients_[ni])
+            deps.push_back(prevP[static_cast<std::size_t>(f)]);
+        }
+        R[ni] = track(amt::dataflow("restrict", restrict_footprint(n),
+                                    [this, n] { restrict_node(n); },
+                                    std::move(deps), rt));
+      }
+    }
+
+    // Same-level ghost copies + outflow fills: fire per node when the
+    // sources (neighbors' owned cells) are produced and this node's ghosts
+    // are no longer being read.
+    for (index_t n = 0; n < topo_->num_nodes(); ++n) {
+      const auto ni = static_cast<std::size_t>(n);
+      std::vector<sf> deps;
+      for (int d = 0; d < NNEIGHBOR; ++d) {
+        const index_t nb = topo_->neighbor(n, d);
+        if (nb != tree::invalid_node && !exchanged_pair(n, nb))
+          deps.push_back(content(nb));
+      }
+      if (topo_->node(n).leaf)
+        deps.push_back(H[ni]);  // WAR: hydro read these ghosts
+      else
+        deps.push_back(R[ni]);  // RAW: outflow reads the restricted interior
+      if (s > 0) {
+        if (prevC[ni].valid()) deps.push_back(prevC[ni]);  // WAW
+        for (const index_t f : pclients_[ni])
+          deps.push_back(prevP[static_cast<std::size_t>(f)]);  // WAR
+      }
+      C[ni] = track(amt::dataflow("copy", copy_footprint(n),
+                                  [this, n] { copy_ghosts(n); },
+                                  std::move(deps), rt));
+    }
+
+    if (exchanged) {
+      // Senders: one task per leaf with leaf-leaf links.  The edge on the
+      // previous stage's send keeps every link's FIFO aligned with stage
+      // order — without it a fast stage-s send could pair with the
+      // receiver's stage s-1 receive.
+      for (const index_t l : leaves) {
+        const auto li = static_cast<std::size_t>(l);
+        bool linked = false;
+        for (int d = 0; d < NNEIGHBOR && !linked; ++d) {
+          const index_t nb = topo_->neighbor(l, d);
+          linked = nb != tree::invalid_node && topo_->node(nb).leaf;
+        }
+        if (!linked) continue;
+        std::vector<sf> deps;
+        deps.push_back(H[li]);
+        if (prevSend[li].valid()) deps.push_back(prevSend[li]);
+        SEND[li] = track(amt::dataflow(
+            "send", apex::access_set{}.r(apex::rgn::field, l),
+            [this, l] { send_leaf_pairs(l); }, std::move(deps), rt));
+      }
+
+      // Receivers: the arrival resolves a per-link future, and the unpack
+      // task fires on {arrival, WAR edges} — no exchange barrier.  Receives
+      // are issued in stage order here, matching the per-link FIFO.
+      for (const index_t l : leaves) {
+        const auto li = static_cast<std::size_t>(l);
+        for (int d = 0; d < NNEIGHBOR; ++d) {
+          const index_t nb = topo_->neighbor(l, d);
+          if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
+          const std::size_t link = link_of(l, d);
+          leaf_pair_receive rx = receive_leaf_pair(l, d);
+          std::vector<sf> deps;
+          deps.push_back(std::move(rx.arrival));
+          deps.push_back(H[li]);  // WAR: hydro read this ghost face
+          if (s > 0) {
+            if (prevUnp[link].valid()) deps.push_back(prevUnp[link]);
+            for (const index_t f : pclients_[li])
+              deps.push_back(prevP[static_cast<std::size_t>(f)]);
+          }
+          // Footprint: the ghost-face write only.  An unpack that reads the
+          // source's owned cells is ordered by the arrival — a
+          // happens-before edge the recorded graph cannot see (the arrival
+          // resolves outside any dataflow node) — so declaring that read
+          // would be a guaranteed false positive.
+          UNP[link] = track(amt::dataflow(
+              "unpack", apex::access_set{}.w(apex::rgn::ghost, l, d),
+              std::move(rx.unpack), std::move(deps), rt));
+        }
+      }
+    }
+
+    // Coarse-to-fine prolongation: per fine leaf, gated on its hosts'
+    // complete state (owned cells, copied and unpacked ghosts, and the
+    // host's own coarse faces; ascending level order makes host P edges
+    // exist).
+    for (const auto& level : leaves_by_level_) {
+      for (const index_t l : level) {
+        const auto li = static_cast<std::size_t>(l);
+        if (phosts_[li].empty()) continue;
+        std::vector<sf> deps;
+        deps.push_back(H[li]);  // WAR: hydro read these ghost faces
+        for (const index_t h : phosts_[li]) {
+          const auto hi = static_cast<std::size_t>(h);
+          deps.push_back(content(h));
+          deps.push_back(C[hi]);
+          if (P[hi].valid()) deps.push_back(P[hi]);
+          for (int d = 0; d < NNEIGHBOR; ++d) {
+            const index_t hnb = topo_->neighbor(h, d);
+            if (hnb != tree::invalid_node && exchanged_pair(h, hnb))
+              deps.push_back(UNP[link_of(h, d)]);
+          }
+        }
+        if (s > 0)
+          for (const index_t f : pclients_[li])
+            deps.push_back(prevP[static_cast<std::size_t>(f)]);  // WAR
+        P[li] = track(amt::dataflow("prolong", prolong_footprint(l),
+                                    [this, l] { prolong_leaf(l); },
+                                    std::move(deps), rt));
+      }
+    }
+
+    // Gravity: per-leaf density refresh feeding the solver's task graph.
+    if (o.self_gravity) {
+      std::vector<sf> mom_ready(nn);
+      for (const index_t l : leaves) {
+        const auto li = static_cast<std::size_t>(l);
+        std::vector<sf> deps;
+        deps.push_back(H[li]);
+        if (have_gprev) deps.push_back(gprev.mom_free[li]);
+        D[li] = track(amt::dataflow(
+            "set-density",
+            apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::moment, l),
+            [this, l] { set_density(l); }, std::move(deps), rt));
+        mom_ready[li] = D[li];
+      }
+      gravity::fmm_solver::solve_graph g = grav_->solve_dataflow(
+          space_, mom_ready, have_gprev ? &gprev : nullptr);
+      for (const auto& t : g.tasks) track(t);
+      gprev = std::move(g);
+      have_gprev = true;
+    }
+
+    prevH = std::move(H);
+    prevR = std::move(R);
+    prevC = std::move(C);
+    prevP = std::move(P);
+    prevD = std::move(D);
+    prevSend = std::move(SEND);
+    prevUnp = std::move(UNP);
+  }
+
+  // dt reduction: per-leaf signal speeds fire as each leaf's final state
+  // settles; the serial max-reduce runs after the drain.
+  if (o.fixed_dt <= 0) {
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      const index_t l = leaves[i];
+      const auto li = static_cast<std::size_t>(l);
+      std::vector<sf> deps;
+      deps.push_back(prevH[li]);
+      deps.push_back(prevC[li]);
+      if (prevP[li].valid()) deps.push_back(prevP[li]);
+      for (int d = 0; d < NNEIGHBOR; ++d) {
+        const index_t nb = topo_->neighbor(l, d);
+        if (nb != tree::invalid_node && exchanged_pair(l, nb))
+          deps.push_back(prevUnp[link_of(l, d)]);
+      }
+      track(amt::dataflow(
+          "dt-reduce",
+          apex::access_set{}
+              .r(apex::rgn::field, l)
+              .r(apex::rgn::ghost, l)
+              .w(apex::rgn::dtred, static_cast<index_t>(i)),
+          [this, i] { store_leaf_signal(i); }, std::move(deps), rt));
+    }
+  }
+
+  // The step's only global join: drain every task (the failure latch
+  // guarantees arrivals resolve), then surface the first error in build
+  // order — preferring a real failure (checksum, transport) over the
+  // broken_channel cascade the latch's channel close produced.
+  for (const auto& f : all) f.wait(rt);
+  std::exception_ptr first, first_real;
+  for (const auto& f : all) {
+    const std::exception_ptr e = amt::detail::stored_exception(f.state());
+    if (!e) continue;
+    if (!first) first = e;
+    if (!first_real) {
+      try {
+        std::rethrow_exception(e);
+      } catch (const amt::broken_channel&) {
+      } catch (...) {
+        first_real = e;
+      }
+    }
+  }
+  leaf_pairs_drained(first != nullptr);
+  if (first) std::rethrow_exception(first_real ? first_real : first);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,20 +13,25 @@
 ///     refresh, per-leaf CFL signal and its reduction);
 ///   * the barrier schedule (step_barrier: every phase fanned out and
 ///     joined) and the re-derivation of ghosts/gravity/dt after a restore;
-///   * the dataflow DAG record -> race-audit -> critical-path block;
+///   * the dataflow schedule (step_graph: the three RK stages as one
+///     per-leaf dependency graph, drained once) and its DAG record ->
+///     race-audit -> critical-path block;
 ///   * the SDC containment path (see app/invariants.hpp): snapshot, retry,
 ///     dual-execution vote and escalation; seal-all, verify-all,
 ///     audit-and-seal; the state signature and bit-flip application.
 ///
-/// A driver supplies only what differs: the dataflow schedule
-/// (step_graph), how leaf-leaf ghost pairs travel (the cluster's channels),
-/// the leaf ownership fault injection resolves against, and the extra state
-/// a retried step must roll back (the cluster's exchange statistics).
+/// A driver supplies only what differs: the leaf-pair hooks — how leaf-leaf
+/// ghost faces travel (the single process copies them with the copy
+/// kernel; the cluster sends, receives and unpacks them through its
+/// channels, in both schedules) — the leaf ownership fault injection
+/// resolves against, and the extra state a retried step must roll back
+/// (the cluster's exchange statistics).
 
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "amt/future.hpp"
 #include "amt/runtime.hpp"
 #include "apex/cost_model.hpp"
 #include "apex/critical_path.hpp"
@@ -150,15 +155,42 @@ class step_engine {
 
   // --- what a driver supplies ---------------------------------------------
   virtual const sim_options& sim_opts() const = 0;
-  /// The three RK stages as one dependency graph.  Its dt-reduce tasks
-  /// call store_leaf_signal(); run_schedule() reduces after the drain.
-  virtual void step_graph(real dt) = 0;
-  /// True when leaf-leaf same-level ghost pairs travel through
-  /// exchange_leaf_pairs() instead of the copy kernel.
+
+  // Leaf-pair hooks.  Unless leaf_pairs_exchanged(), leaf-leaf same-level
+  // ghost faces ride the copy kernel and none of the others is called.
+  /// True when leaf-leaf same-level ghost faces travel through the hooks
+  /// below instead of the copy kernel.
   virtual bool leaf_pairs_exchanged() const { return false; }
   /// Barrier-mode leaf-leaf ghost exchange (called between the copy and
   /// prolongation phases of exchange_ghosts()).
   virtual void exchange_leaf_pairs() {}
+  /// Dataflow send body: ship leaf \p l's faces to every same-level leaf
+  /// neighbor (one task per leaf and RK stage, in stage order per leaf).
+  virtual void send_leaf_pairs(index_t /*l*/) {}
+  /// One inbound face of one RK stage: resolves when the slab arrived, and
+  /// the body that writes it into the receiver's ghost face.
+  struct leaf_pair_receive {
+    amt::shared_future<void> arrival;
+    std::function<void()> unpack;
+  };
+  /// Dataflow receive of leaf \p l's face \p d, issued once per RK stage
+  /// in stage order.
+  virtual leaf_pair_receive receive_leaf_pair(index_t /*l*/, int /*d*/) {
+    return {};
+  }
+  /// Does the unpack of \p src's face into \p dst read \p src's owned
+  /// cells directly (so \p src's next hydro update must wait for it)?
+  virtual bool leaf_pair_reads_source(index_t /*src*/,
+                                      index_t /*dst*/) const {
+    return false;
+  }
+  /// Taken once per dataflow step; run once, from the continuation of the
+  /// step's first failing task, so pending arrivals resolve and the drain
+  /// cannot hang.  Empty: nothing to run.
+  virtual std::function<void()> leaf_pair_failure_hook() { return {}; }
+  /// After the dataflow step's drain, before its first error is rethrown.
+  virtual void leaf_pairs_drained(bool /*failed*/) {}
+
   /// Leaf ownership that fault-injection plans resolve against: a plan's
   /// (loc, leaf) picks leaf `leaf` modulo the owned-leaf count of locality
   /// `loc` modulo owner_count().  One owner reduces this to leaves[leaf].
@@ -257,6 +289,14 @@ class step_engine {
   void hydro_stage(real dt, real ca, real cb);
   real compute_dt();
   void step_barrier(real dt);
+  /// The three RK stages as one per-leaf dependency graph: hydro chained
+  /// on each leaf's own ghost/gravity edges, leaf-pair send/unpack tasks
+  /// when the driver exchanges leaf pairs, gravity via solve_dataflow, and
+  /// dt-reduce tasks feeding the CFL slots (run_schedule() reduces after
+  /// the drain).  The drain waits on every task, then rethrows the first
+  /// error in build order that is not a broken_channel, falling back to
+  /// the first error.
+  void step_graph(real dt);
 
   /// One execution attempt: apply any armed bit flip, verify the seals,
   /// run the schedule, audit the result, retake the seals.  Throws

@@ -1,6 +1,7 @@
 #include "common/config.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -96,6 +97,29 @@ std::optional<std::string> config::env(const std::string& name) {
   return std::string(v);
 }
 
+namespace {
+/// Strict base-10 integer: the whole of \p v, within long's range.
+long parse_long(const std::string& v, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const long r = std::strtol(v.c_str(), &end, 10);
+  OCTO_CHECK_MSG(end && *end == '\0' && !v.empty() && errno != ERANGE,
+                 what << " is not an integer: " << v);
+  return r;
+}
+}  // namespace
+
+std::optional<long> config::env_long(const std::string& name, long lo,
+                                     long hi) {
+  const auto v = env(name);
+  if (!v) return std::nullopt;
+  const long r = parse_long(*v, "environment variable '" + name + "'");
+  OCTO_CHECK_MSG(r >= lo && r <= hi, "environment variable '"
+                                         << name << "' must lie in [" << lo
+                                         << ", " << hi << "]: " << *v);
+  return r;
+}
+
 config& config::merge_env(const std::vector<std::string>& names,
                           const std::string& prefix) {
   for (const auto& key : names) {
@@ -127,11 +151,7 @@ std::string config::get(const std::string& key, const std::string& dflt) const {
 long config::get(const std::string& key, long dflt) const {
   const auto v = find(key);
   if (!v) return dflt;
-  char* end = nullptr;
-  const long r = std::strtol(v->c_str(), &end, 10);
-  OCTO_CHECK_MSG(end && *end == '\0' && !v->empty(),
-                 "config key '" << key << "' is not an integer: " << *v);
-  return r;
+  return parse_long(*v, "config key '" + key + "'");
 }
 
 int config::get(const std::string& key, int dflt) const {

@@ -35,6 +35,13 @@ class config {
   /// registry (tools/octo_lint enforces the same rule statically).
   static std::optional<std::string> env(const std::string& name);
 
+  /// Read an integer environment variable through env(): nullopt when
+  /// unset or empty; throws octo::error naming the variable when the value
+  /// is not a whole base-10 integer (the checks of get(key, long)) or lies
+  /// outside [\p lo, \p hi].
+  static std::optional<long> env_long(const std::string& name, long lo,
+                                      long hi);
+
   /// Central registry of every OCTO_* environment variable the project
   /// reads, with one-line docs.  This is the single source of truth: env()
   /// rejects unregistered names, the rendered table in EXPERIMENTS.md is

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -12,7 +11,6 @@
 #include "amt/future.hpp"
 #include "apex/apex.hpp"
 #include "apex/flow.hpp"
-#include "apex/race_audit.hpp"
 #include "apex/trace.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -32,12 +30,10 @@ cluster::cluster(const scen::scenario& sc, dist_options opt,
   if (const auto env = config::env("OCTO_TRACE")) {
     std::error_code ec;
     if (std::filesystem::is_directory(*env, ec)) {
-      std::int64_t skew_ns = 2'000'000;
-      if (const auto sk = config::env("OCTO_TRACE_SKEW_US")) {
-        const long v = std::strtol(sk->c_str(), nullptr, 10);
-        if (v >= 0) skew_ns = static_cast<std::int64_t>(v) * 1000;
-      }
-      set_trace_dir(*env, skew_ns);
+      // Bounded so skew_ns x locality index cannot overflow.
+      const auto skew_us = config::env_long(
+          "OCTO_TRACE_SKEW_US", 0, std::numeric_limits<std::int32_t>::max());
+      set_trace_dir(*env, skew_us ? std::int64_t{*skew_us} * 1000 : 2'000'000);
     }
   }
 }
@@ -259,14 +255,6 @@ exchange_counters& counters() {
 }
 }  // namespace
 
-bool cluster::has_leaf_links(index_t l) const {
-  for (int d = 0; d < NNEIGHBOR; ++d) {
-    const index_t nb = topo_->neighbor(l, d);
-    if (nb != tree::invalid_node && topo_->node(nb).leaf) return true;
-  }
-  return false;
-}
-
 void cluster::send_slabs(index_t l, xfer_counts& counts) {
   const apex::scoped_trace_span span("dist.exchange.send");
   const apex::cost_scope cost(cost_model_ptr(),
@@ -349,6 +337,33 @@ void cluster::fold_exchange_counts(const xfer_counts& counts) {
   reg.add(counters().local_serialized, ls);
   reg.add(counters().remote, rm);
   reg.add(counters().bytes, by);
+}
+
+app::step_engine::leaf_pair_receive cluster::receive_leaf_pair(index_t l,
+                                                               int d) {
+  // The arrival stashes the message in a per-link box the unpack consumes.
+  auto box = std::make_shared<boundary_msg>();
+  const auto link = static_cast<std::size_t>(leaf_slot_[l] * NNEIGHBOR + d);
+  return {channels_[link]->receive().then_inline(
+              [box](boundary_msg msg) { *box = std::move(msg); },
+              space_.runtime()),
+          [this, l, d, box] { unpack_slab(l, d, std::move(*box)); }};
+}
+
+std::function<void()> cluster::leaf_pair_failure_hook() {
+  // Close this step's channels, held by copy so a late close hits live
+  // channel objects even after rebuild_channels().
+  return [channels = channels_] {
+    for (const auto& ch : channels) ch->close();
+  };
+}
+
+void cluster::leaf_pairs_drained(bool failed) {
+  if (failed)
+    rebuild_channels();  // hand the next attempt fresh channels
+  else
+    fold_exchange_counts(graph_counts_);
+  graph_counts_.clear();  // a failed step counts no slabs
 }
 
 void cluster::exchange_leaf_pairs() {
@@ -437,323 +452,6 @@ void cluster::detect_locality_failures() {
         dead.push_back(loc);
   }
   if (!dead.empty()) throw locality_failure(dead);
-}
-
-void cluster::step_graph(real dt) {
-  using sf = amt::shared_future<void>;
-  auto& rt = space_.runtime();
-  const auto nn = static_cast<std::size_t>(topo_->num_nodes());
-  const auto& leaves = topo_->leaves();
-  const std::size_t nlinks = leaves.size() * NNEIGHBOR;
-  const auto link_of = [this](index_t l, int d) {
-    return static_cast<std::size_t>(leaf_slot_[l] * NNEIGHBOR + d);
-  };
-
-  // Exchange statistics, accumulated lock-free by the send tasks and
-  // folded in after the drain.
-  auto counts = std::make_shared<xfer_counts>();
-
-  // Failure latch: the first task that resolves with an exception closes
-  // every channel, so arrival futures whose message will now never be sent
-  // resolve (with broken_channel) and the drain below cannot hang.  The
-  // latch holds its own shared_ptr copies so a late close hits live
-  // channel objects even after rebuild_channels().
-  struct failure_latch {
-    std::atomic<bool> fired{false};
-    std::vector<std::shared_ptr<amt::channel<boundary_msg>>> channels;
-  };
-  auto latch = std::make_shared<failure_latch>();
-  latch->channels = channels_;
-
-  std::vector<sf> all;  // every task in build order: the deterministic drain
-  all.reserve(nn * 24);
-  const auto track = [&all, latch](sf f) {
-    f.state()->add_continuation([latch, st = f.state()] {
-      if (st->has_exception() && !latch->fired.exchange(true))
-        for (const auto& ch : latch->channels) ch->close();
-    });
-    all.push_back(f);
-    return f;
-  };
-
-  // u0 snapshot (step entry is a resolved point).
-  std::vector<sf> snap(nn);
-  for (const index_t l : leaves)
-    snap[static_cast<std::size_t>(l)] = track(amt::dataflow(
-        "snapshot",
-        apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::stage0, l),
-        [this, l] { save_stage0(l); }, std::vector<sf>{}, rt));
-
-  std::vector<sf> prevH(nn), prevR(nn), prevC(nn), prevP(nn), prevD(nn),
-      prevSend(nn);
-  std::vector<sf> prevUnp(nlinks);
-  gravity::fmm_solver::solve_graph gprev;
-  bool have_gprev = false;
-
-  for (int s = 0; s < 3; ++s) {
-    const real ca = app::rk3_ca[s], cb = app::rk3_cb[s];
-    std::vector<sf> H(nn), R(nn), C(nn), P(nn), D(nn), SEND(nn);
-    std::vector<sf> UNP(nlinks);
-    // Per-stage message slots: arrivals stash here, unpack tasks consume.
-    auto slots = std::make_shared<std::vector<boundary_msg>>(nlinks);
-
-    const auto content = [&](index_t n) {
-      return topo_->node(n).leaf ? H[static_cast<std::size_t>(n)]
-                                 : R[static_cast<std::size_t>(n)];
-    };
-
-    // Hydro: each leaf fires on its own ghost-ready + gravity edges.
-    for (const index_t l : leaves) {
-      const auto li = static_cast<std::size_t>(l);
-      std::vector<sf> deps;
-      if (s == 0) {
-        deps.push_back(snap[li]);
-      } else {
-        deps.push_back(prevC[li]);
-        if (prevP[li].valid()) deps.push_back(prevP[li]);
-        if (opt_.sim.self_gravity) deps.push_back(gprev.leaf_out[li]);
-        for (int d = 0; d < NNEIGHBOR; ++d) {
-          const index_t nb = topo_->neighbor(l, d);
-          if (nb == tree::invalid_node) continue;
-          if (topo_->node(nb).leaf) {
-            // Own leaf-leaf ghosts arrived and unpacked last stage...
-            deps.push_back(prevUnp[link_of(l, d)]);
-            // ...and for direct-token pairs the neighbor finished reading
-            // our owned cells (its unpack copies straight from grids_[l]).
-            if (owner(l) == owner(nb) && opt_.local_optimization)
-              deps.push_back(prevUnp[link_of(nb, tree::dir_opposite(d))]);
-          } else {
-            deps.push_back(prevC[static_cast<std::size_t>(nb)]);
-          }
-        }
-        if (prevSend[li].valid()) deps.push_back(prevSend[li]);
-        const index_t par = topo_->node(l).parent;
-        if (par != tree::invalid_node)
-          deps.push_back(prevR[static_cast<std::size_t>(par)]);
-        for (const index_t f : pclients_[li])
-          deps.push_back(prevP[static_cast<std::size_t>(f)]);
-        if (prevD[li].valid()) deps.push_back(prevD[li]);
-      }
-      H[li] = track(amt::dataflow(
-          "hydro-RK", hydro_footprint(l),
-          [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); },
-          std::move(deps), rt));
-    }
-
-    // Restriction: parent-on-children edges.
-    for (int lvl = topo_->max_depth() - 1; lvl >= 0; --lvl) {
-      for (const index_t n : topo_->nodes_at_level(lvl)) {
-        if (topo_->node(n).leaf) continue;
-        const auto ni = static_cast<std::size_t>(n);
-        std::vector<sf> deps;
-        for (int oct = 0; oct < NCHILD; ++oct)
-          deps.push_back(content(topo_->node(n).children[oct]));
-        if (s > 0) {
-          deps.push_back(prevC[ni]);  // WAR: own outflow fill read the interior
-          for (int d = 0; d < NNEIGHBOR; ++d) {
-            const index_t nb = topo_->neighbor(n, d);
-            if (nb != tree::invalid_node)
-              deps.push_back(prevC[static_cast<std::size_t>(nb)]);
-          }
-          const index_t par = topo_->node(n).parent;
-          if (par != tree::invalid_node)
-            deps.push_back(prevR[static_cast<std::size_t>(par)]);
-          for (const index_t f : pclients_[ni])
-            deps.push_back(prevP[static_cast<std::size_t>(f)]);
-        }
-        R[ni] = track(amt::dataflow("restrict", restrict_footprint(n),
-                                    [this, n] { restrict_node(n); },
-                                    std::move(deps), rt));
-      }
-    }
-
-    // Non-leaf-leaf same-level copies + physical boundaries.
-    for (index_t n = 0; n < topo_->num_nodes(); ++n) {
-      const auto ni = static_cast<std::size_t>(n);
-      const bool is_leaf = topo_->node(n).leaf;
-      std::vector<sf> deps;
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(n, d);
-        if (nb == tree::invalid_node) continue;
-        if (!(is_leaf && topo_->node(nb).leaf)) deps.push_back(content(nb));
-      }
-      if (is_leaf)
-        deps.push_back(H[ni]);
-      else
-        deps.push_back(R[ni]);  // RAW: outflow reads the restricted interior
-      if (s > 0) {
-        if (prevC[ni].valid()) deps.push_back(prevC[ni]);
-        for (const index_t f : pclients_[ni])
-          deps.push_back(prevP[static_cast<std::size_t>(f)]);
-      }
-      C[ni] = track(amt::dataflow("copy", copy_footprint(n),
-                                  [this, n] { copy_ghosts(n); },
-                                  std::move(deps), rt));
-    }
-
-    // Senders: one task per leaf with leaf-leaf links.  The edge on the
-    // previous stage's send keeps every link's channel FIFO aligned with
-    // stage order — without it a fast stage-s send could pair with the
-    // receiver's stage s-1 receive.
-    for (const index_t l : leaves) {
-      const auto li = static_cast<std::size_t>(l);
-      if (!has_leaf_links(l)) continue;
-      std::vector<sf> deps;
-      deps.push_back(H[li]);
-      if (prevSend[li].valid()) deps.push_back(prevSend[li]);
-      SEND[li] = track(amt::dataflow(
-          "send", apex::access_set{}.r(apex::rgn::field, l),
-          [this, l, counts] { send_slabs(l, *counts); }, std::move(deps),
-          rt));
-    }
-
-    // Receivers: the channel arrival resolves a per-link future (stash via
-    // inline continuation), and the unpack task fires on {arrival, WAR
-    // edges} — transport acks and unpacks flow with no exchange barrier.
-    // Receives are issued in stage order here, matching the per-link FIFO.
-    for (const index_t l : leaves) {
-      const auto li = static_cast<std::size_t>(l);
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(l, d);
-        if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
-        const std::size_t link = link_of(l, d);
-        sf arrival = channels_[link]->receive().then_inline(
-            [slots, link](boundary_msg msg) {
-              (*slots)[link] = std::move(msg);
-            },
-            rt);
-        std::vector<sf> deps;
-        deps.push_back(arrival);
-        deps.push_back(H[li]);  // WAR: hydro read this ghost face
-        if (s > 0) {
-          if (prevUnp[link].valid()) deps.push_back(prevUnp[link]);
-          for (const index_t f : pclients_[li])
-            deps.push_back(prevP[static_cast<std::size_t>(f)]);
-        }
-        // Footprint: the ghost-face write only.  A direct-token unpack also
-        // reads the neighbor's owned cells, but that read is ordered by the
-        // channel send/receive — a happens-before edge the recorded graph
-        // cannot see (the arrival resolves outside any dataflow node) — so
-        // declaring it would be a guaranteed false positive.
-        UNP[link] = track(amt::dataflow(
-            "unpack", apex::access_set{}.w(apex::rgn::ghost, l, d),
-            [this, l, d, slots, link] {
-              unpack_slab(l, d, std::move((*slots)[link]));
-            },
-            std::move(deps), rt));
-      }
-    }
-
-    // Coarse-to-fine prolongation: gated on the host's complete state
-    // (owned cells, direct-copied ghosts, arrived leaf-leaf ghosts, and
-    // the host's own coarse faces).
-    for (const auto& level : leaves_by_level_) {
-      for (const index_t l : level) {
-        const auto li = static_cast<std::size_t>(l);
-        if (phosts_[li].empty()) continue;
-        std::vector<sf> deps;
-        deps.push_back(H[li]);
-        for (const index_t h : phosts_[li]) {
-          const auto hi = static_cast<std::size_t>(h);
-          deps.push_back(content(h));
-          deps.push_back(C[hi]);
-          if (P[hi].valid()) deps.push_back(P[hi]);
-          for (int d = 0; d < NNEIGHBOR; ++d) {
-            const index_t hnb = topo_->neighbor(h, d);
-            if (hnb != tree::invalid_node && topo_->node(hnb).leaf)
-              deps.push_back(UNP[link_of(h, d)]);
-          }
-        }
-        if (s > 0)
-          for (const index_t f : pclients_[li])
-            deps.push_back(prevP[static_cast<std::size_t>(f)]);
-        P[li] = track(amt::dataflow("prolong", prolong_footprint(l),
-                                    [this, l] { prolong_leaf(l); },
-                                    std::move(deps), rt));
-      }
-    }
-
-    // Gravity: per-leaf density refresh feeding the solver's task graph.
-    if (opt_.sim.self_gravity) {
-      std::vector<sf> mom_ready(nn);
-      for (const index_t l : leaves) {
-        const auto li = static_cast<std::size_t>(l);
-        std::vector<sf> deps;
-        deps.push_back(H[li]);
-        if (have_gprev) deps.push_back(gprev.mom_free[li]);
-        D[li] = track(amt::dataflow(
-            "set-density",
-            apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::moment, l),
-            [this, l] { set_density(l); }, std::move(deps), rt));
-        mom_ready[li] = D[li];
-      }
-      gravity::fmm_solver::solve_graph g = grav_->solve_dataflow(
-          space_, mom_ready, have_gprev ? &gprev : nullptr);
-      for (const auto& t : g.tasks) track(t);
-      gprev = std::move(g);
-      have_gprev = true;
-    }
-
-    prevH = std::move(H);
-    prevR = std::move(R);
-    prevC = std::move(C);
-    prevP = std::move(P);
-    prevD = std::move(D);
-    prevSend = std::move(SEND);
-    prevUnp = std::move(UNP);
-  }
-
-  // dt reduction: per-leaf signal speeds as each leaf's final state
-  // settles; the serial max-reduce runs after the drain.
-  if (opt_.sim.fixed_dt <= 0) {
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
-      const index_t l = leaves[i];
-      const auto li = static_cast<std::size_t>(l);
-      std::vector<sf> deps;
-      deps.push_back(prevH[li]);
-      deps.push_back(prevC[li]);
-      if (prevP[li].valid()) deps.push_back(prevP[li]);
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(l, d);
-        if (nb != tree::invalid_node && topo_->node(nb).leaf)
-          deps.push_back(prevUnp[link_of(l, d)]);
-      }
-      track(amt::dataflow(
-          "dt-reduce",
-          apex::access_set{}
-              .r(apex::rgn::field, l)
-              .r(apex::rgn::ghost, l)
-              .w(apex::rgn::dtred, static_cast<index_t>(i)),
-          [this, i] { store_leaf_signal(i); }, std::move(deps), rt));
-    }
-  }
-
-  // Drain every task (the failure latch guarantees arrivals resolve), then
-  // surface the first error in build order — preferring a real failure
-  // (checksum, transport) over the broken_channel cascade noise the latch
-  // close produced.
-  for (const auto& f : all)
-    if (f.valid()) f.wait(rt);
-  std::exception_ptr first, first_nonchannel;
-  for (const auto& f : all) {
-    if (!f.valid()) continue;
-    if (auto e = amt::detail::stored_exception(f.state())) {
-      if (!first) first = e;
-      if (!first_nonchannel) {
-        try {
-          std::rethrow_exception(e);
-        } catch (const amt::broken_channel&) {
-        } catch (...) {
-          first_nonchannel = e;
-        }
-      }
-    }
-  }
-  if (first) {
-    rebuild_channels();
-    std::rethrow_exception(first_nonchannel ? first_nonchannel : first);
-  }
-  fold_exchange_counts(*counts);
 }
 
 real cluster::step() {

@@ -16,10 +16,12 @@
 ///     and can be safely accessed" — and the receiver copies directly from
 ///     the neighbor's memory, skipping serialization and buffers.
 ///
-/// The receive side attaches unpack work to `when_all` of its channel
-/// futures, so the exchange is barrier-free across leaves (communication/
-/// computation overlap as in the real code).  Statistics feed the DES
-/// calibration and Fig. 8's model.
+/// The receive side is barrier-free across leaves (communication/
+/// computation overlap as in the real code): in barrier mode each channel
+/// future carries its unpack as a `.then` continuation, joined with the
+/// sends by `get_all`; in dataflow mode each arrival gates an unpack task
+/// of the step graph (app::step_engine::step_graph, through the leaf-pair
+/// hooks below).  Statistics feed the DES calibration and Fig. 8's model.
 ///
 /// Every serialized slab is sealed with a CRC-32; a slab corrupted or
 /// truncated in transit (for real, or via the fault injector in
@@ -194,19 +196,28 @@ class cluster : public app::step_engine {
   /// exchange (or one dataflow step), folded into stats_ afterwards.
   struct xfer_counts {
     std::atomic<std::uint64_t> ld{0}, ls{0}, rm{0}, by{0};
+    void clear() {
+      for (auto* c : {&ld, &ls, &rm, &by}) c->store(0);
+    }
   };
 
   const app::sim_options& sim_opts() const override { return opt_.sim; }
+  // Leaf-pair hooks: every leaf-leaf face travels through the boundary
+  // channels, in both schedules.
   bool leaf_pairs_exchanged() const override { return true; }
   /// Barrier-mode leaf-leaf exchange through the boundary channels.
   void exchange_leaf_pairs() override;
-  /// The three RK stages as one dependency graph: per-leaf hydro chained on
-  /// its own ghost edges, channel arrivals resolving unpack tasks without a
-  /// barrier, gravity via solve_dataflow; one deterministic drain at the
-  /// end.  On any task failure every channel is closed (so pending arrivals
-  /// resolve), the graph drained, channels rebuilt, and the first error in
-  /// build order rethrown.
-  void step_graph(real dt) override;
+  void send_leaf_pairs(index_t l) override { send_slabs(l, graph_counts_); }
+  leaf_pair_receive receive_leaf_pair(index_t l, int d) override;
+  /// Direct-token pairs: the receiver copies from the sender's grid.
+  bool leaf_pair_reads_source(index_t src, index_t dst) const override {
+    return owner(src) == owner(dst) && opt_.local_optimization;
+  }
+  /// Closes every channel, so pending arrivals resolve.
+  std::function<void()> leaf_pair_failure_hook() override;
+  /// Rebuilds the channels after a failed step; folds the step's exchange
+  /// counts after a successful one.
+  void leaf_pairs_drained(bool failed) override;
   int owner_count() const override { return opt_.num_localities; }
   int owner_of(index_t leaf) const override { return owner(leaf); }
   /// A retried step rolls the exchange statistics back to the snapshot.
@@ -215,8 +226,6 @@ class cluster : public app::step_engine {
   }
   int owner(index_t node) const { return part_.owner(node); }
 
-  /// Does leaf \p l have a same-level leaf neighbor (a boundary link)?
-  bool has_leaf_links(index_t l) const;
   /// Pack, seal, fault-hook and transport leaf \p l's slabs to every
   /// same-level leaf neighbor (a bare pointer token when the pair is
   /// same-locality and local_optimization is on).
@@ -281,6 +290,8 @@ class cluster : public app::step_engine {
   std::size_t flows_consumed_ = 0;
 
   exchange_stats stats_;
+  /// The current dataflow step's exchange counts (send_leaf_pairs).
+  xfer_counts graph_counts_;
 };
 
 }  // namespace octo::dist

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
+#include "apex/trace.hpp"
 #include "app/simulation.hpp"
 #include "dist/cluster.hpp"
 #include "dist/serialize.hpp"
@@ -35,6 +38,28 @@ TEST(Serialize, UnderrunThrows) {
   iarchive ia(oa.take());
   ia.get<int>();
   EXPECT_THROW(ia.get<double>(), error);
+}
+
+TEST(ClusterTraceEnv, MalformedSkewRejectedNamingVariable) {
+  // OCTO_TRACE naming a directory arms the distributed trace; its skew
+  // override must be a non-negative integer, not silently truncated.  The
+  // trace singleton reads OCTO_TRACE once, when first built: build it now
+  // so the variable set below cannot arm a process-wide trace.
+  (void)apex::trace::instance();
+  ::setenv("OCTO_TRACE", testing::TempDir().c_str(), 1);
+  for (const char* bad : {"12x", "abc", "-5"}) {
+    ::setenv("OCTO_TRACE_SKEW_US", bad, 1);
+    try {
+      cluster cl(scen::sedov(), dist_options{});
+      ADD_FAILURE() << "accepted OCTO_TRACE_SKEW_US='" << bad << "'";
+    } catch (const error& e) {
+      EXPECT_NE(std::string(e.what()).find("OCTO_TRACE_SKEW_US"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("OCTO_TRACE_SKEW_US");
+  ::unsetenv("OCTO_TRACE");
 }
 
 struct ClusterEnv : testing::Test {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -118,6 +119,28 @@ TEST(Config, MalformedValueThrows) {
   EXPECT_THROW(c.get("n", 0), error);
   c.set("b", "maybe");
   EXPECT_THROW(c.get("b", false), error);
+  c.set("big", "99999999999999999999");  // past long's range
+  EXPECT_THROW(c.get("big", 0L), error);
+}
+
+TEST(Config, EnvLongIsStrictAndNamesTheVariable) {
+  const char* name = "OCTO_TRACE_SKEW_US";
+  ::unsetenv(name);
+  EXPECT_FALSE(config::env_long(name, 0, 10).has_value());
+  ::setenv(name, "7", 1);
+  EXPECT_EQ(config::env_long(name, 0, 10), 7L);
+  for (const char* bad : {"12x", "abc", "1.5", "-1", "11",
+                          "99999999999999999999"}) {
+    ::setenv(name, bad, 1);
+    try {
+      (void)config::env_long(name, 0, 10);
+      ADD_FAILURE() << "accepted " << name << "='" << bad << "'";
+    } catch (const error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv(name);
 }
 
 TEST(Config, FromFile) {

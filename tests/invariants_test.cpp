@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -257,6 +258,24 @@ TEST(InvariantAudit, CadenceFollowsEveryAndEnable) {
   opt.enabled = false;
   invariant_auditor off(opt);
   EXPECT_FALSE(off.invariants_due(4));
+}
+
+TEST(InvariantAudit, AuditEveryEnvIsStrictAndNamesTheVariable) {
+  ::setenv("OCTO_AUDIT_EVERY", "7", 1);
+  EXPECT_EQ(audit_options::default_audit_every(), 7);
+  for (const char* bad : {"4x", "abc", "4 ", "0", "-1", "99999999999"}) {
+    ::setenv("OCTO_AUDIT_EVERY", bad, 1);
+    try {
+      (void)audit_options::default_audit_every();
+      ADD_FAILURE() << "accepted OCTO_AUDIT_EVERY='" << bad << "'";
+    } catch (const error& e) {
+      EXPECT_NE(std::string(e.what()).find("OCTO_AUDIT_EVERY"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("OCTO_AUDIT_EVERY");
+  EXPECT_EQ(audit_options::default_audit_every(), 4);
 }
 
 // --------------------------------------------- strict fault-spec parsing --

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Project correctness gate: octo_lint + the registry/schema sync tests,
-# the golden step signatures (ctest label `golden`), the bitwise gravity
+# the golden step signatures (ctest label `golden`), the frozen dataflow
+# step-graph shape (per-class task and edge counts), the bitwise gravity
 # kernel tests (monopole path == full pack, chunk invariance; these hold
 # on every build fingerprint), plus clang-tidy over src/ when available.
 # Run from anywhere:
@@ -29,10 +30,12 @@ cmake --build "$build_dir" --target lint_test metrics_test -- -j >/dev/null
 "$build_dir/tests/metrics_test" \
   --gtest_filter='Metrics.SchemaMatchesCsvJsonlAndDocs' --gtest_brief=1
 
-echo "== golden step signatures + bitwise gravity kernels =="
-cmake --build "$build_dir" --target golden_step_test gravity_test -- -j \
-  >/dev/null
+echo "== golden step signatures + step-graph shape + bitwise gravity kernels =="
+cmake --build "$build_dir" --target golden_step_test race_audit_test \
+  gravity_test -- -j >/dev/null
 "$build_dir/tests/golden_step_test" --gtest_brief=1
+"$build_dir/tests/race_audit_test" --gtest_brief=1 \
+  --gtest_filter='RaceAuditSim.StepGraphShapeIsFrozen'
 "$build_dir/tests/gravity_test" --gtest_brief=1 \
   --gtest_filter='GravityKernels.*:Chunks/ChunkInvariance.*'
 
