@@ -157,7 +157,8 @@ class step_engine {
   virtual const sim_options& sim_opts() const = 0;
 
   // Leaf-pair hooks.  Unless leaf_pairs_exchanged(), leaf-leaf same-level
-  // ghost faces ride the copy kernel and none of the others is called.
+  // ghost faces ride the copy kernel and the exchange, send and receive
+  // hooks are never called.
   /// True when leaf-leaf same-level ghost faces travel through the hooks
   /// below instead of the copy kernel.
   virtual bool leaf_pairs_exchanged() const { return false; }
