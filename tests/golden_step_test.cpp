@@ -18,6 +18,11 @@
 /// Re-recording is a reviewed change: paste the printed lines into the data
 /// file and explain why the bits moved.
 ///
+/// Golden.GravityKernelBits freezes the gravity kernels themselves: CRCs of
+/// their outputs on seeded inputs, per kernel and per SIMD ABI.  It pins
+/// the rounding of every product the compiler could fuse, also on the
+/// scalar ABI, which no step scenario runs.
+///
 /// Every scenario pins sim_options::mode, so OCTO_STEP_MODE in the
 /// environment cannot change which schedule a golden run executes.
 
@@ -37,7 +42,9 @@
 #include "app/simulation.hpp"
 #include "common/crc32.hpp"
 #include "common/fault.hpp"
+#include "common/random.hpp"
 #include "dist/cluster.hpp"
+#include "gravity/kernels.hpp"
 #include "gravity/solver.hpp"
 #include "scenarios/scenarios.hpp"
 
@@ -173,9 +180,14 @@ void check(const std::string& scenario,
   }
   for (const auto& [stage, sig] : got) {
     const auto it = fp->second.find(scenario + " " + stage);
-    ASSERT_NE(it, fp->second.end())
-        << "fingerprint " << key << " has no signature for scenario "
-        << scenario << " at " << stage;
+    if (it == fp->second.end()) {
+      ADD_FAILURE() << "fingerprint " << key
+                    << " has no signature for scenario " << scenario
+                    << " at " << stage << "; to record, append:\n"
+                    << key << ' ' << scenario << ' ' << stage << ' '
+                    << hex64(sig);
+      continue;
+    }
     EXPECT_EQ(hex64(sig), hex64(it->second))
         << "golden mismatch: scenario " << scenario << " at " << stage;
   }
@@ -289,6 +301,178 @@ TEST_F(Golden, StandaloneFmmSolve) {
   for (const index_t l : topo.leaves()) f.add(gravity_crc(solver, l));
   f.add(solver.moments_crc());
   check("fmm_solve_rotating_star_l3", {{"solve", f.sig}});
+}
+
+/// CRC of the bits of every lane of \p x, folded into \p c.
+template <typename P>
+std::uint32_t crc_lanes(const P& x, std::uint32_t c) {
+  for (int l = 0; l < P::size(); ++l) {
+    const real r = x[l];
+    c = crc32(&r, sizeof(r), c);
+  }
+  return c;
+}
+
+template <typename P, std::size_t K>
+std::uint32_t crc_lanes(const P (&v)[K], std::uint32_t c) {
+  for (const P& x : v) c = crc_lanes(x, c);
+  return c;
+}
+
+template <typename P>
+std::uint32_t crc_expansion(const gravity::pack_expansion<P>& e,
+                            std::uint32_t c) {
+  c = crc_lanes(e.l0, c);
+  c = crc_lanes(e.l1, c);
+  c = crc_lanes(e.l2, c);
+  return crc_lanes(e.l3, c);
+}
+
+/// Per-kernel output CRCs of the pack kernels on ABI \p P: targets in
+/// [-4, 4]^3, sources 2-7 cell widths away with random q and o, 32 sources
+/// accumulated per target pack, as in one M2L stencil sweep.
+template <typename P>
+std::vector<std::pair<std::string, std::uint64_t>> pack_kernel_bits(
+    std::uint64_t seed) {
+  using namespace gravity;
+  xoshiro256 rng(seed);
+  const auto draw = [&](real lo, real hi) {
+    P v;
+    for (int l = 0; l < P::size(); ++l) v.set(l, rng.uniform(lo, hi));
+    return v;
+  };
+  const real G = units::G_code;
+  std::uint32_t derivs = 0, full = 0, part = 0, mono = 0, near = 0;
+  for (int trial = 0; trial < 64; ++trial) {
+    const real dx = rng.uniform(1e-3, 1.0);
+    const P tx = draw(-4, 4), ty = draw(-4, 4), tz = draw(-4, 4);
+    pack_expansion<P> acc_full, acc_part, acc_mono, acc_near;
+    for (int s = 0; s < 32; ++s) {
+      pack_multipole<P> src;
+      src.m = draw(0, 3);
+      src.cx = tx - draw(2, 7) * P(dx);
+      src.cy = ty - draw(-7, 7) * P(dx);
+      src.cz = tz - draw(-7, 7) * P(dx);
+      for (auto& q : src.q) q = draw(-1, 1) * P(dx * dx);
+      for (auto& o : src.o) o = draw(-1, 1) * P(dx * dx * dx);
+      const P rx = tx - src.cx, ry = ty - src.cy, rz = tz - src.cz;
+      pack_derivs<P> d;
+      compute_derivs(rx, ry, rz, G, d);
+      derivs = crc_lanes(d.d0, derivs);
+      derivs = crc_lanes(d.d1, derivs);
+      derivs = crc_lanes(d.d2, derivs);
+      derivs = crc_lanes(d.d3, derivs);
+      m2l_pack<P, true>(src, d, acc_full);
+      m2l_pack<P, false>(src, d, acc_part);
+      m2l_monopole_pack(src.m, rx, ry, rz, G, acc_mono);
+      p2p_pack(src.m, rx, ry, rz, G, acc_near);
+    }
+    full = crc_expansion(acc_full, full);
+    part = crc_expansion(acc_part, part);
+    mono = crc_expansion(acc_mono, mono);
+    near = crc_expansion(acc_near, near);
+  }
+  return {{"compute_derivs", derivs},
+          {"m2l_pack_full", full},
+          {"m2l_pack_monopole_target", part},
+          {"m2l_monopole_pack", mono},
+          {"p2p_pack", near}};
+}
+
+template <typename A>
+std::uint32_t crc_reals(const A& v, std::uint32_t c) {
+  return crc32(v.data(), v.size() * sizeof(real), c);
+}
+
+std::uint32_t crc_expansion(const gravity::expansion& e, std::uint32_t c) {
+  c = crc32(&e.l0, sizeof(real), c);
+  c = crc_reals(e.l1, c);
+  c = crc_reals(e.l2, c);
+  return crc_reals(e.l3, c);
+}
+
+std::uint32_t crc_multipole(const gravity::multipole& m, std::uint32_t c) {
+  c = crc32(&m.m, sizeof(real), c);
+  c = crc_reals(std::array<real, 3>{m.com.x, m.com.y, m.com.z}, c);
+  c = crc_reals(m.q, c);
+  return crc_reals(m.o, c);
+}
+
+/// Per-kernel output CRCs of the scalar tensor kernels (the root's
+/// all-pairs M2L, M2M and L2L) on seeded inputs.
+std::vector<std::pair<std::string, std::uint64_t>> multipole_kernel_bits(
+    std::uint64_t seed) {
+  using namespace gravity;
+  xoshiro256 rng(seed);
+  const auto vec = [&](real lo, real hi) {
+    return rvec3{rng.uniform(lo, hi), rng.uniform(lo, hi),
+                 rng.uniform(lo, hi)};
+  };
+  const auto moments = [&](real dx) {
+    multipole m;
+    m.m = rng.uniform(0, 3);
+    m.com = vec(-4, 4);
+    for (auto& q : m.q) q = rng.uniform(-1, 1) * dx * dx;
+    for (auto& o : m.o) o = rng.uniform(-1, 1) * dx * dx * dx;
+    return m;
+  };
+  const auto local = [&] {
+    expansion e;
+    e.l0 = rng.uniform(-1, 1);
+    for (auto& v : e.l1) v = rng.uniform(-1, 1);
+    for (auto& v : e.l2) v = rng.uniform(-1, 1);
+    for (auto& v : e.l3) v = rng.uniform(-1, 1);
+    return e;
+  };
+  const real G = units::G_code;
+  std::uint32_t derivs = 0, m2l = 0, l2l = 0, m2m = 0;
+  for (int trial = 0; trial < 64; ++trial) {
+    const real dx = rng.uniform(1e-3, 1.0);
+    const rvec3 target = vec(-4, 4);
+    expansion acc;
+    for (int s = 0; s < 32; ++s) {
+      multipole src = moments(dx);
+      src.com = target - rvec3{rng.uniform(2, 7) * dx,
+                               rng.uniform(-7, 7) * dx,
+                               rng.uniform(-7, 7) * dx};
+      const deriv_tensors d = derivatives(target - src.com, G);
+      derivs = crc32(&d.d0, sizeof(real), derivs);
+      derivs = crc_reals(d.d1, derivs);
+      derivs = crc_reals(d.d2, derivs);
+      derivs = crc_reals(d.d3, derivs);
+      m2l_accumulate(src, d, acc);
+    }
+    m2l = crc_expansion(acc, m2l);
+
+    expansion shifted = local();
+    l2l_shift(local(), vec(-dx, dx), shifted);
+    l2l = crc_expansion(shifted, l2l);
+
+    multipole parent;
+    parent.m = rng.uniform(0, 24);
+    parent.com = vec(-4, 4);
+    for (int c = 0; c < 8; ++c) {
+      multipole child = moments(dx);
+      child.com = parent.com + vec(-dx, dx);
+      m2m_accumulate(child, parent);
+    }
+    m2m = crc_multipole(parent, m2m);
+  }
+  return {{"derivatives", derivs},
+          {"m2l_accumulate", m2l},
+          {"l2l_shift", l2l},
+          {"m2m_accumulate", m2m}};
+}
+
+/// Seeded-input bits of every hot gravity kernel.  Whole-step goldens see
+/// only the native ABI as the solver calls it; this case also covers the
+/// scalar ABI and names the kernel whose bits moved.
+TEST(GoldenKernels, GravityKernelBits) {
+  check("gravity_kernels_native",
+        pack_kernel_bits<simd<real, simd_abi::native<real>>>(21));
+  check("gravity_kernels_scalar",
+        pack_kernel_bits<simd<real, simd_abi::scalar>>(22));
+  check("multipole_kernels", multipole_kernel_bits(23));
 }
 
 }  // namespace
