@@ -77,7 +77,7 @@ void m2l_kernel(benchmark::State& state) {
       z.copy_from(rz.data() + i);
       mm.copy_from(m.data() + i);
       pack_derivs<P> d;
-      compute_derivs(x, y, z, 1.0, d);
+      compute_derivs(x, y, z, inv_distance(x, y, z), 1.0, d);
       pack_multipole<P> src;
       src.m = mm;
       src.cx = x;

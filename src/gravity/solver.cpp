@@ -410,8 +410,10 @@ void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
           sx.copy_from(hm + mc_cx * HP + h);
           sy.copy_from(hm + mc_cy * HP + h);
           sz.copy_from(hm + mc_cz * HP + h);
+          const P rx = tx - sx, ry = ty - sy, rz = tz - sz;
+          const P rinv = inv_distance(rx, ry, rz);
           if (!full && (r & multipole_src) == 0) {
-            m2l_monopole_pack(m, tx - sx, ty - sy, tz - sz, G, acc);
+            m2l_monopole_pack(m, rx, ry, rz, rinv, G, acc);
             continue;
           }
           pack_multipole<P> src;
@@ -424,7 +426,7 @@ void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
           for (int c = 0; c < NSYM3; ++c)
             src.o[c].copy_from(hm + (mc_o + c) * HP + h);
           pack_derivs<P> d;
-          compute_derivs(tx - sx, ty - sy, tz - sz, G, d);
+          compute_derivs(rx, ry, rz, rinv, G, d);
           if (full) {
             m2l_pack<P, true>(src, d, acc);
           } else {

@@ -380,7 +380,19 @@ class simd<T, simd_abi::fixed<N>> {
   }
   friend simd min(simd a, simd b) { return select(a < b, a, b); }
   friend simd max(simd a, simd b) { return select(a > b, a, b); }
-  friend simd fma(simd a, simd b, simd c) { return simd(a.v_ * b.v_ + c.v_); }
+  /// a * b + c, rounded once where the target has FMA instructions (like
+  /// the scalar ABI's std::fma), else rounded twice.  Written lane-wise so
+  /// the fusion never depends on whether GCC contracts the expression.
+  friend simd fma(simd a, simd b, simd c) {
+#if defined(__FP_FAST_FMA)
+    simd r;
+#pragma GCC unroll 16
+    for (int i = 0; i < N; ++i) r.v_[i] = std::fma(a.v_[i], b.v_[i], c.v_[i]);
+    return r;
+#else
+    return simd(a.v_ * b.v_ + c.v_);
+#endif
+  }
   /// Lane-wise \p a, never fused with its consumer (see the scalar ABI).
   friend simd rounded(simd a) {
     return simd(simd_detail::assoc_barrier(a.v_));

@@ -356,15 +356,16 @@ std::vector<std::pair<std::string, std::uint64_t>> pack_kernel_bits(
       for (auto& q : src.q) q = draw(-1, 1) * P(dx * dx);
       for (auto& o : src.o) o = draw(-1, 1) * P(dx * dx * dx);
       const P rx = tx - src.cx, ry = ty - src.cy, rz = tz - src.cz;
+      const P rinv = inv_distance(rx, ry, rz);
       pack_derivs<P> d;
-      compute_derivs(rx, ry, rz, G, d);
+      compute_derivs(rx, ry, rz, rinv, G, d);
       derivs = crc_lanes(d.d0, derivs);
       derivs = crc_lanes(d.d1, derivs);
       derivs = crc_lanes(d.d2, derivs);
       derivs = crc_lanes(d.d3, derivs);
       m2l_pack<P, true>(src, d, acc_full);
       m2l_pack<P, false>(src, d, acc_part);
-      m2l_monopole_pack(src.m, rx, ry, rz, G, acc_mono);
+      m2l_monopole_pack(src.m, rx, ry, rz, rinv, G, acc_mono);
       p2p_pack(src.m, rx, ry, rz, G, acc_near);
     }
     full = crc_expansion(acc_full, full);

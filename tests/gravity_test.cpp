@@ -247,8 +247,10 @@ void expect_monopole_path_matches_full_pack(std::uint64_t seed) {
       }
       for (auto& q : src.q) q = P(0);
       for (auto& o : src.o) o = P(0);
+      const P rx = tx - src.cx, ry = ty - src.cy, rz = tz - src.cz;
+      const P rinv = inv_distance(rx, ry, rz);
       pack_derivs<P> d;
-      compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
+      compute_derivs(rx, ry, rz, rinv, G, d);
       m2l_pack<P, false>(src, d, full);
       // Like the solver, `mixed` switches paths from source to source.  In
       // that shape GCC 12.2 once fused the monopole path's products on the
@@ -256,11 +258,9 @@ void expect_monopole_path_matches_full_pack(std::uint64_t seed) {
       if (s % 3 == 0) {
         m2l_pack<P, false>(src, d, mixed);
       } else {
-        m2l_monopole_pack(src.m, tx - src.cx, ty - src.cy, tz - src.cz, G,
-                          mixed);
+        m2l_monopole_pack(src.m, rx, ry, rz, rinv, G, mixed);
       }
-      m2l_monopole_pack(src.m, tx - src.cx, ty - src.cy, tz - src.cz, G,
-                        mono);
+      m2l_monopole_pack(src.m, rx, ry, rz, rinv, G, mono);
     }
     for (const auto* acc : {&mono, &mixed})
       for (int l = 0; l < P::size(); ++l) {
