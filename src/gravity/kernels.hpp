@@ -132,8 +132,9 @@ template <typename P, bool Full>
 [[gnu::always_inline]] inline void m2l_pack(const pack_multipole<P>& src,
                                             const pack_derivs<P>& d,
                                             pack_expansion<P>& acc) {
-  // L0 = M D0 + 1/2 Q:D2 - 1/6 O:D3.  Pin: M D0 is rounded; the first Q
-  // term is the product fused into it (and likewise M D1_i in L1 below).
+  // L0 = M D0 + 1/2 Q:D2 - 1/6 O:D3.  Pin: M D0 (and M D1_i in L1 below)
+  // is rounded before it enters the fma chain.  It is only the addend of
+  // an fma(), yet unpinned the solver's scalar-ABI M2L changed bits.
   P l0 = rounded(src.m * d.d0);
 #pragma GCC unroll 6
   for (int s = 0; s < NSYM2; ++s)

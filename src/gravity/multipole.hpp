@@ -26,6 +26,7 @@
 #include "common/types.hpp"
 #include "common/vec3.hpp"
 #include "common/units.hpp"
+#include "simd/simd.hpp"
 
 namespace octo::gravity {
 
@@ -103,10 +104,20 @@ struct deriv_tensors {
   std::array<real, NSYM3> d3{};
 };
 
+// The scalar kernels below are fully unrolled and force-inlined into the
+// solver's root, M2M and L2L passes.  Each `a * b + c` is written either
+// as mul_add() (one rounding on FMA targets) or with the product pinned by
+// scalar_barrier() (two roundings): exactly the roundings these kernels had
+// as rolled loops, where GCC's contraction decided them.  Unrolled, that
+// decision would depend on which products CSE happens to share.
+
 /// Compute D0..D3 at displacement \p r (must be nonzero).
-inline deriv_tensors derivatives(const rvec3& r, real G = units::G_code) {
+[[gnu::always_inline]] inline deriv_tensors derivatives(
+    const rvec3& r, real G = units::G_code) {
+  using simd_detail::mul_add;
+  using simd_detail::scalar_barrier;
   deriv_tensors d;
-  const real r2 = dot(r, r);
+  const real r2 = mul_add(r.z, r.z, mul_add(r.x, r.x, r.y * r.y));
   const real rinv = real(1) / std::sqrt(r2);
   const real rinv2 = rinv * rinv;
   const real rinv3 = rinv * rinv2;
@@ -116,129 +127,140 @@ inline deriv_tensors derivatives(const rvec3& r, real G = units::G_code) {
   const real c1 = G * rinv3;
   d.d1 = {c1 * r.x, c1 * r.y, c1 * r.z};
   const real c2 = -3 * G * rinv5;
+#pragma GCC unroll 3
   for (int a = 0; a < 3; ++a)
+#pragma GCC unroll 3
     for (int b = a; b < 3; ++b)
-      d.d2[sym2_idx(a, b)] = c2 * r[a] * r[b] + (a == b ? G * rinv3 : 0);
+      d.d2[sym2_idx(a, b)] =
+          scalar_barrier(c2 * r[a] * r[b]) + (a == b ? G * rinv3 : 0);
   const real c3 = 15 * G * rinv7;
+#pragma GCC unroll 10
   for (int s = 0; s < NSYM3; ++s) {
     const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
-    real v = c3 * r[a] * r[b] * r[c];
-    v += -3 * G * rinv5 *
-         ((a == b ? r[c] : real(0)) + (a == c ? r[b] : real(0)) +
-          (b == c ? r[a] : real(0)));
-    d.d3[s] = v;
+    const real corr = (a == b ? r[c] : real(0)) + (a == c ? r[b] : real(0)) +
+                      (b == c ? r[a] : real(0));
+    d.d3[s] = mul_add(c2, corr, scalar_barrier(c3 * r[a] * r[b] * r[c]));
   }
   return d;
 }
 
 /// Accumulate the M2L contribution of \p src into the expansion at a target
 /// whose COM is at displacement R = target_com - src.com (precomputed D).
-inline void m2l_accumulate(const multipole& src, const deriv_tensors& d,
-                           expansion& tgt) {
-  // L0 = M D0 + 1/2 Q:D2 - 1/6 O:D3
-  real l0 = src.m * d.d0;
-  for (int s = 0; s < NSYM2; ++s) l0 += real(0.5) * sym2_mult[s] * src.q[s] * d.d2[s];
+[[gnu::always_inline]] inline void m2l_accumulate(const multipole& src,
+                                                  const deriv_tensors& d,
+                                                  expansion& tgt) {
+  using simd_detail::mul_add;
+  using simd_detail::scalar_barrier;
+  // L0 = M D0 + 1/2 Q:D2 - 1/6 O:D3, every product rounded.
+  real l0 = scalar_barrier(src.m * d.d0);
+#pragma GCC unroll 6
+  for (int s = 0; s < NSYM2; ++s)
+    l0 += scalar_barrier(real(0.5) * sym2_mult[s] * src.q[s] * d.d2[s]);
+#pragma GCC unroll 10
   for (int s = 0; s < NSYM3; ++s)
-    l0 -= (real(1) / 6) * sym3_mult[s] * src.o[s] * d.d3[s];
+    l0 -= scalar_barrier((real(1) / 6) * sym3_mult[s] * src.o[s] * d.d3[s]);
   tgt.l0 += l0;
 
   // L1_i = M D1_i + 1/2 Q_jk D3_ijk
+#pragma GCC unroll 3
   for (int i = 0; i < 3; ++i) {
-    real l1 = src.m * d.d1[i];
+    real l1 = scalar_barrier(src.m * d.d1[i]);
+#pragma GCC unroll 3
     for (int j = 0; j < 3; ++j)
+#pragma GCC unroll 3
       for (int k = j; k < 3; ++k) {
         const real mult = (j == k) ? 1 : 2;
-        l1 += real(0.5) * mult * src.q[sym2_idx(j, k)] *
-              d.d3[sym3_idx(i, j, k)];
+        l1 = mul_add(real(0.5) * mult * src.q[sym2_idx(j, k)],
+                     d.d3[sym3_idx(i, j, k)], l1);
       }
     tgt.l1[i] += l1;
   }
 
   // L2 = M D2,  L3 = M D3 (higher source moments truncated at total order 3)
-  for (int s = 0; s < NSYM2; ++s) tgt.l2[s] += src.m * d.d2[s];
-  for (int s = 0; s < NSYM3; ++s) tgt.l3[s] += src.m * d.d3[s];
-}
-
-/// Parity-flipped accumulate: same pair seen from the source's side
-/// (D_n(-R) = (-1)^n D_n(R)).  Evaluating both sides with the *same*
-/// tensors is what makes the pairwise force sum exactly zero.
-inline void m2l_accumulate_flipped(const multipole& src,
-                                   const deriv_tensors& d, expansion& tgt) {
-  real l0 = src.m * d.d0;
-  for (int s = 0; s < NSYM2; ++s) l0 += real(0.5) * sym2_mult[s] * src.q[s] * d.d2[s];
-  for (int s = 0; s < NSYM3; ++s)
-    l0 += (real(1) / 6) * sym3_mult[s] * src.o[s] * d.d3[s];  // sign flip
-  tgt.l0 += l0;
-  for (int i = 0; i < 3; ++i) {
-    real l1 = -src.m * d.d1[i];  // odd order: sign flip
-    for (int j = 0; j < 3; ++j)
-      for (int k = j; k < 3; ++k) {
-        const real mult = (j == k) ? 1 : 2;
-        l1 -= real(0.5) * mult * src.q[sym2_idx(j, k)] *
-              d.d3[sym3_idx(i, j, k)];
-      }
-    tgt.l1[i] += l1;
-  }
-  for (int s = 0; s < NSYM2; ++s) tgt.l2[s] += src.m * d.d2[s];
-  for (int s = 0; s < NSYM3; ++s) tgt.l3[s] -= src.m * d.d3[s];
+#pragma GCC unroll 6
+  for (int s = 0; s < NSYM2; ++s) tgt.l2[s] = mul_add(src.m, d.d2[s], tgt.l2[s]);
+#pragma GCC unroll 10
+  for (int s = 0; s < NSYM3; ++s) tgt.l3[s] = mul_add(src.m, d.d3[s], tgt.l3[s]);
 }
 
 /// M2M: fold child moments (about child COM) into parent moments (about the
 /// already-computed parent COM).  Call once per child after setting
 /// parent.m and parent.com.
-inline void m2m_accumulate(const multipole& child, multipole& parent) {
+[[gnu::always_inline]] inline void m2m_accumulate(const multipole& child,
+                                                  multipole& parent) {
+  using simd_detail::mul_add;
   const rvec3 dv = child.com - parent.com;
   const real d[3] = {dv.x, dv.y, dv.z};
   // O first (uses child's Q before it is folded)
+#pragma GCC unroll 10
   for (int s = 0; s < NSYM3; ++s) {
     const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
-    parent.o[s] += child.o[s] + child.q[sym2_idx(a, b)] * d[c] +
-                   child.q[sym2_idx(b, c)] * d[a] +
-                   child.q[sym2_idx(a, c)] * d[b] +
-                   child.m * d[a] * d[b] * d[c];
+    real o = mul_add(child.q[sym2_idx(a, b)], d[c], child.o[s]);
+    o = mul_add(child.q[sym2_idx(b, c)], d[a], o);
+    o = mul_add(child.q[sym2_idx(a, c)], d[b], o);
+    parent.o[s] += mul_add(child.m * d[a] * d[b], d[c], o);
   }
+#pragma GCC unroll 3
   for (int a = 0; a < 3; ++a)
+#pragma GCC unroll 3
     for (int b = a; b < 3; ++b)
-      parent.q[sym2_idx(a, b)] += child.q[sym2_idx(a, b)] +
-                                  child.m * d[a] * d[b];
+      parent.q[sym2_idx(a, b)] +=
+          mul_add(child.m * d[a], d[b], child.q[sym2_idx(a, b)]);
 }
 
 /// L2L: shift a parent expansion (about parent COM) to a child expansion
 /// point displaced by h = child_com - parent_com; accumulates into \p out.
-inline void l2l_shift(const expansion& in, const rvec3& hv, expansion& out) {
+[[gnu::always_inline]] inline void l2l_shift(const expansion& in,
+                                             const rvec3& hv, expansion& out) {
+  using simd_detail::mul_add;
   const real h[3] = {hv.x, hv.y, hv.z};
   // L0
   real l0 = in.l0;
-  for (int i = 0; i < 3; ++i) l0 += in.l1[i] * h[i];
+#pragma GCC unroll 3
+  for (int i = 0; i < 3; ++i) l0 = mul_add(in.l1[i], h[i], l0);
+#pragma GCC unroll 3
   for (int a = 0; a < 3; ++a)
+#pragma GCC unroll 3
     for (int b = a; b < 3; ++b) {
       const real mult = (a == b) ? 1 : 2;
-      l0 += real(0.5) * mult * in.l2[sym2_idx(a, b)] * h[a] * h[b];
+      l0 = mul_add(real(0.5) * mult * in.l2[sym2_idx(a, b)] * h[a], h[b], l0);
     }
+#pragma GCC unroll 10
   for (int s = 0; s < NSYM3; ++s) {
     const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
-    l0 += (real(1) / 6) * sym3_mult[s] * in.l3[s] * h[a] * h[b] * h[c];
+    l0 = mul_add((real(1) / 6) * sym3_mult[s] * in.l3[s] * h[a] * h[b], h[c],
+                 l0);
   }
   out.l0 += l0;
   // L1
+#pragma GCC unroll 3
   for (int i = 0; i < 3; ++i) {
     real l1 = in.l1[i];
-    for (int j = 0; j < 3; ++j) l1 += in.l2[sym2_idx(i, j)] * h[j];
+#pragma GCC unroll 3
+    for (int j = 0; j < 3; ++j) l1 = mul_add(in.l2[sym2_idx(i, j)], h[j], l1);
+#pragma GCC unroll 3
     for (int j = 0; j < 3; ++j)
+#pragma GCC unroll 3
       for (int k = j; k < 3; ++k) {
         const real mult = (j == k) ? 1 : 2;
-        l1 += real(0.5) * mult * in.l3[sym3_idx(i, j, k)] * h[j] * h[k];
+        l1 = mul_add(real(0.5) * mult * in.l3[sym3_idx(i, j, k)] * h[j], h[k],
+                     l1);
       }
     out.l1[i] += l1;
   }
   // L2
+#pragma GCC unroll 3
   for (int a = 0; a < 3; ++a)
+#pragma GCC unroll 3
     for (int b = a; b < 3; ++b) {
       real l2 = in.l2[sym2_idx(a, b)];
-      for (int k = 0; k < 3; ++k) l2 += in.l3[sym3_idx(a, b, k)] * h[k];
+#pragma GCC unroll 3
+      for (int k = 0; k < 3; ++k)
+        l2 = mul_add(in.l3[sym3_idx(a, b, k)], h[k], l2);
       out.l2[sym2_idx(a, b)] += l2;
     }
   // L3
+#pragma GCC unroll 10
   for (int s = 0; s < NSYM3; ++s) out.l3[s] += in.l3[s];
 }
 

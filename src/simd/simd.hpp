@@ -60,6 +60,18 @@ inline T scalar_barrier(T v) {
 #endif
   return v;
 }
+
+/// a * b + c, rounded once where the target has FMA instructions and twice
+/// elsewhere: what contraction makes of `a * b + c`, but fixed by the
+/// source instead of by whether GCC happens to contract it.
+template <typename T>
+inline T mul_add(T a, T b, T c) {
+#if defined(__FP_FAST_FMA)
+  return std::fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
 }  // namespace simd_detail
 
 namespace simd_abi {
@@ -366,32 +378,33 @@ class simd<T, simd_abi::fixed<N>> {
     return s;
   }
 
-  // Lanewise math.  The fixed-trip-count loops unroll and vectorize under
-  // -O2; arithmetic above maps directly to vector instructions.
+  // Lane-wise math: fully unrolled per-lane loops that GCC's SLP
+  // vectorizer packs into single vector instructions.  For sqrt that needs
+  // -fno-math-errno (set by the top-level CMakeLists.txt): a sqrt that may
+  // set errno keeps one scalar sqrt plus a libm call per lane.  IEEE sqrt is
+  // correctly rounded, so either form gives the same bits.
   friend simd sqrt(simd a) {
     simd r;
+#pragma GCC unroll 16
     for (int i = 0; i < N; ++i) r.v_[i] = std::sqrt(a.v_[i]);
     return r;
   }
   friend simd abs(simd a) {
     simd r;
+#pragma GCC unroll 16
     for (int i = 0; i < N; ++i) r.v_[i] = std::abs(a.v_[i]);
     return r;
   }
   friend simd min(simd a, simd b) { return select(a < b, a, b); }
   friend simd max(simd a, simd b) { return select(a > b, a, b); }
-  /// a * b + c, rounded once where the target has FMA instructions (like
-  /// the scalar ABI's std::fma), else rounded twice.  Written lane-wise so
-  /// the fusion never depends on whether GCC contracts the expression.
+  /// Lane-wise simd_detail::mul_add: fused on FMA targets whatever the
+  /// surrounding code, as the scalar ABI's std::fma.
   friend simd fma(simd a, simd b, simd c) {
-#if defined(__FP_FAST_FMA)
     simd r;
 #pragma GCC unroll 16
-    for (int i = 0; i < N; ++i) r.v_[i] = std::fma(a.v_[i], b.v_[i], c.v_[i]);
+    for (int i = 0; i < N; ++i)
+      r.v_[i] = simd_detail::mul_add(a.v_[i], b.v_[i], c.v_[i]);
     return r;
-#else
-    return simd(a.v_ * b.v_ + c.v_);
-#endif
   }
   /// Lane-wise \p a, never fused with its consumer (see the scalar ABI).
   friend simd rounded(simd a) {
