@@ -30,6 +30,7 @@
 #endif
 
 #include "common/config.hpp"
+#include "common/error.hpp"
 
 namespace octo::apex {
 
@@ -117,11 +118,15 @@ std::chrono::steady_clock::time_point trace::epoch() {
 
 trace::trace() : impl_(new impl) {
   (void)epoch();  // pin the epoch at first instance() call
-  if (const auto cap = config::env("OCTO_TRACE_BUFFER")) {
-    const long v = std::strtol(cap->c_str(), nullptr, 10);
-    if (v > 0) impl_->capacity = static_cast<std::size_t>(v);
+  // The singleton's constructor must not throw: when OCTO_TRACE arms
+  // tracing here, enable()'s error is reported and tracing stays off.
+  if (const auto path = config::env("OCTO_TRACE")) {
+    try {
+      enable(*path);
+    } catch (const error& e) {
+      std::fprintf(stderr, "apex::trace: %s; tracing stays off\n", e.what());
+    }
   }
-  if (const auto path = config::env("OCTO_TRACE")) enable(*path);
 }
 
 trace& trace::instance() {
@@ -139,6 +144,10 @@ trace& trace::instance() {
 }
 
 void trace::enable(std::string path) {
+  // Checked where tracing is armed, before anything changes: a malformed
+  // value ("64x", "0") throws octo::error naming the variable.
+  if (const auto cap = config::env_long("OCTO_TRACE_BUFFER", 1, 1L << 24))
+    set_buffer_capacity(static_cast<std::size_t>(*cap));
   path_ = std::move(path);
   if (!path_.empty()) {
     static bool atexit_registered = false;

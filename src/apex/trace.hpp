@@ -20,7 +20,9 @@
 ///
 /// Bootstrap: `trace::instance()` reads `OCTO_TRACE=<file.json>` from the
 /// environment on first use; when set, tracing starts enabled and the
-/// trace is written at process exit (and on explicit `write()`).
+/// trace is written at process exit (and on explicit `write()`).  If
+/// OCTO_TRACE_BUFFER is then malformed, the error goes to stderr and
+/// tracing stays off.
 
 #include <atomic>
 #include <chrono>
@@ -48,7 +50,9 @@ class trace {
   }
 
   /// Start recording; the trace will be written to \p path by write() or,
-  /// if \p path is non-empty, automatically at process exit.
+  /// if \p path is non-empty, automatically at process exit.  Applies
+  /// OCTO_TRACE_BUFFER (1..2^24 events) when set, and throws octo::error
+  /// naming it, leaving tracing off, when its value is malformed.
   void enable(std::string path);
   /// Stop recording (already-captured events are kept until write()).
   void disable();

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -155,7 +156,12 @@ long config::get(const std::string& key, long dflt) const {
 }
 
 int config::get(const std::string& key, int dflt) const {
-  return static_cast<int>(get(key, static_cast<long>(dflt)));
+  const long r = get(key, static_cast<long>(dflt));
+  OCTO_CHECK_MSG(r >= std::numeric_limits<int>::min() &&
+                     r <= std::numeric_limits<int>::max(),
+                 "config key '" << key << "' is out of int range: "
+                                << *find(key));
+  return static_cast<int>(r);
 }
 
 double config::get(const std::string& key, double dflt) const {

@@ -17,12 +17,14 @@
 /// OCTO_SIMD_FORCE_SCALAR rebinds the default to scalar — this is the switch
 /// the paper flips for Fig. 7.
 ///
-/// Floating-point contraction: GCC fuses `a * b + c` into one FMA whenever
+/// Floating-point contraction: GCC may fuse `a * b + c` into one FMA when
 /// the target has FMA instructions (-ffp-contract=fast), for plain doubles
-/// and vector-extension types alike.  Where a kernel must reproduce the bits
-/// of another formulation that rounds the product first, it wraps the
-/// product in `rounded()`, a lane-wise identity the compiler may not fuse
-/// across.
+/// and vector-extension types alike, but whether it does depends on the
+/// surrounding code (a product shared by two uses, or computed in another
+/// basic block, stays unfused).  Kernels whose bits are frozen therefore
+/// state each rounding: `fma()` (simd_detail::mul_add for scalars) is one
+/// rounding on FMA targets, and a product wrapped in `rounded()`
+/// (simd_detail::scalar_barrier) is rounded before its consumer.
 
 #include <algorithm>
 #include <cmath>

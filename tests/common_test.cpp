@@ -121,6 +121,20 @@ TEST(Config, MalformedValueThrows) {
   EXPECT_THROW(c.get("b", false), error);
   c.set("big", "99999999999999999999");  // past long's range
   EXPECT_THROW(c.get("big", 0L), error);
+  // Past int's range: must not wrap (4294967297 would read as 1).
+  c.set("level", "4294967297");
+  EXPECT_EQ(c.get("level", 0L), 4294967297L);
+  try {
+    (void)c.get("level", 0);
+    ADD_FAILURE() << "accepted level=4294967297 as an int";
+  } catch (const error& e) {
+    EXPECT_NE(std::string(e.what()).find("'level'"), std::string::npos)
+        << e.what();
+  }
+  c.set("level", "-2147483649");
+  EXPECT_THROW(c.get("level", 0), error);
+  c.set("level", "2147483647");
+  EXPECT_EQ(c.get("level", 0), 2147483647);
 }
 
 TEST(Config, EnvLongIsStrictAndNamesTheVariable) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "common/random.hpp"
 #include "simd/simd.hpp"
 
 namespace octo {
@@ -62,6 +66,46 @@ TYPED_TEST(SimdTest, RoundedProductIsNotFused) {
   const P a(va), b(vb), c(vc);
   const P r = a + rounded(b * c);
   for (int l = 0; l < P::size(); ++l) EXPECT_EQ(r[l], 0.0) << "lane " << l;
+}
+
+TYPED_TEST(SimdTest, SqrtMatchesScalarSqrtBitwise) {
+  // Lane-wise sqrt compiles to a vector sqrt instruction; IEEE sqrt is
+  // correctly rounded, so every lane must equal std::sqrt bit for bit,
+  // edge inputs included (negative inputs give NaN).
+  using P = typename TestFixture::pack;
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  using lim = std::numeric_limits<double>;
+  std::vector<double> in = {0.0,          -0.0,
+                            lim::denorm_min(), lim::min() / 3,
+                            lim::min(),   lim::max(),
+                            lim::infinity(), lim::quiet_NaN(),
+                            -1.0,         -lim::infinity(),
+                            -lim::denorm_min(), 1.0,
+                            2.0,          0.25};
+  xoshiro256 rng(7);
+  for (int i = 0; i < 4096; ++i)
+    in.push_back(std::ldexp(rng.uniform(1, 2),
+                            static_cast<int>(rng.below(200)) - 100));
+  const auto W = static_cast<std::size_t>(P::size());
+  while (in.size() % W != 0) in.push_back(3.0);
+  for (std::size_t i = 0; i < in.size(); i += W) {
+    P v;
+    v.copy_from(in.data() + i);
+    const P r = sqrt(v);
+    for (int l = 0; l < P::size(); ++l) {
+      const double x = in[i + static_cast<std::size_t>(l)];
+      const double want = std::sqrt(x);
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(r[l])) << "sqrt(" << x << ") lane " << l;
+      } else {
+        EXPECT_EQ(bits(r[l]), bits(want)) << "sqrt(" << x << ") lane " << l;
+      }
+    }
+  }
 }
 
 TYPED_TEST(SimdTest, CompoundAssign) {

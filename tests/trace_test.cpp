@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "apex/trace.hpp"
+#include "common/error.hpp"
 
 namespace octo::apex {
 namespace {
@@ -179,6 +181,25 @@ TEST_F(TraceTest, FullBufferDropsAndCounts) {
   EXPECT_TRUE(chk.document());
   EXPECT_NE(json.find("\"dropped\""), std::string::npos);
   tr.set_buffer_capacity(1 << 16);
+}
+
+TEST(TraceEnv, MalformedBufferRejectedNamingVariable) {
+  const char* name = "OCTO_TRACE_BUFFER";
+  auto& tr = trace::instance();  // built before the variable is set
+  tr.disable();
+  for (const char* bad : {"64x", "abc", "0", "-5", "99999999999"}) {
+    ::setenv(name, bad, 1);
+    try {
+      tr.enable("");
+      ADD_FAILURE() << "accepted " << name << "='" << bad << "'";
+    } catch (const error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(trace::enabled()) << name << "='" << bad << "'";
+  }
+  ::unsetenv(name);
+  tr.disable();
 }
 
 TEST_F(TraceTest, ConcurrentRecordingKeepsEveryThreadsEvents) {

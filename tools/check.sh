@@ -1,9 +1,11 @@
 #!/bin/sh
 # Project correctness gate: octo_lint + the registry/schema sync tests,
-# the golden step signatures (ctest label `golden`), the frozen dataflow
-# step-graph shape (per-class task and edge counts), the bitwise gravity
-# kernel tests (monopole path == full pack, chunk invariance; these hold
-# on every build fingerprint), plus clang-tidy over src/ when available.
+# the golden step signatures (ctest label `golden`, including the
+# per-kernel gravity bits GoldenKernels.GravityKernelBits), the frozen
+# dataflow step-graph shape (per-class task and edge counts), the bitwise
+# gravity kernel tests (monopole path == full pack, chunk invariance; these
+# hold on every build fingerprint), the SIMD ABI tests (lane-wise sqrt ==
+# std::sqrt bit for bit), plus clang-tidy over src/ when available.
 # Run from anywhere:
 #
 #   tools/check.sh [BUILD_DIR]      # default build dir: ./build
@@ -30,14 +32,15 @@ cmake --build "$build_dir" --target lint_test metrics_test -- -j >/dev/null
 "$build_dir/tests/metrics_test" \
   --gtest_filter='Metrics.SchemaMatchesCsvJsonlAndDocs' --gtest_brief=1
 
-echo "== golden step signatures + step-graph shape + bitwise gravity kernels =="
+echo "== golden step signatures + kernel bits + step-graph shape + bitwise gravity kernels + simd =="
 cmake --build "$build_dir" --target golden_step_test race_audit_test \
-  gravity_test -- -j >/dev/null
+  gravity_test simd_test -- -j >/dev/null
 "$build_dir/tests/golden_step_test" --gtest_brief=1
 "$build_dir/tests/race_audit_test" --gtest_brief=1 \
   --gtest_filter='RaceAuditSim.StepGraphShapeIsFrozen'
 "$build_dir/tests/gravity_test" --gtest_brief=1 \
   --gtest_filter='GravityKernels.*:Chunks/ChunkInvariance.*'
+"$build_dir/tests/simd_test" --gtest_brief=1
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy (bugprone/concurrency/performance) =="
