@@ -18,10 +18,12 @@
 /// Straight-line code, fixed bits.  Every tensor loop carries
 /// `#pragma GCC unroll` and every kernel is force-inlined, so a source pack's
 /// whole interaction compiles to one block of vector arithmetic with
-/// constant component indices.  In one block GCC may fuse any product into
-/// a neighbouring add (-ffp-contract=fast); where a rolled loop or a call
-/// boundary used to keep a product rounded, `rounded()` pins it, so the
-/// kernels give the bits they gave as rolled loops.  Each pin says which.
+/// constant component indices.  In one block GCC may fuse a product into a
+/// neighbouring add (-ffp-contract=fast), and which one depends on the
+/// caller.  So each rounding is stated: `fma()` fuses, and where a rolled
+/// loop or a call boundary used to keep a product rounded, `rounded()` pins
+/// it.  The kernels give the bits they gave as rolled loops; each pin says
+/// which product it keeps.
 
 #include "common/types.hpp"
 #include "gravity/multipole.hpp"
@@ -60,8 +62,8 @@ struct pack_derivs {
 
 /// 1/|R| for displacement R.  Both M2L paths of a source pack start from
 /// it; the solver computes it once, before choosing the path, so the two
-/// paths cannot be compiled into different roundings of |R|^2.  Pin: x*x
-/// is rounded and y*y, z*z are fused into the sum.
+/// paths cannot be compiled into different roundings of |R|^2.  As in the
+/// former out-of-line compute_derivs, x*x is rounded and y*y, z*z are fused.
 template <typename P>
 [[gnu::always_inline]] inline P inv_distance(P rx, P ry, P rz) {
   return P(1) / sqrt(fma(rz, rz, fma(ry, ry, rx * rx)));

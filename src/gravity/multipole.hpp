@@ -117,6 +117,7 @@ struct deriv_tensors {
   using simd_detail::mul_add;
   using simd_detail::scalar_barrier;
   deriv_tensors d;
+  // |r|^2 as dot(r, r) compiled here: y*y rounded, x*x and z*z fused.
   const real r2 = mul_add(r.z, r.z, mul_add(r.x, r.x, r.y * r.y));
   const real rinv = real(1) / std::sqrt(r2);
   const real rinv2 = rinv * rinv;

@@ -18,10 +18,10 @@
 /// Re-recording is a reviewed change: paste the printed lines into the data
 /// file and explain why the bits moved.
 ///
-/// Golden.GravityKernelBits freezes the gravity kernels themselves: CRCs of
-/// their outputs on seeded inputs, per kernel and per SIMD ABI.  It pins
-/// the rounding of every product the compiler could fuse, also on the
-/// scalar ABI, which no step scenario runs.
+/// GoldenKernels.GravityKernelBits freezes the gravity kernels themselves:
+/// CRCs of their outputs on seeded inputs, per kernel and per SIMD ABI.
+/// It pins the rounding of every product the compiler could fuse, also on
+/// the scalar ABI, which no step scenario runs.
 ///
 /// Every scenario pins sim_options::mode, so OCTO_STEP_MODE in the
 /// environment cannot change which schedule a golden run executes.
