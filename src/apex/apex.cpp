@@ -38,7 +38,7 @@ const std::vector<metric_name_info>& metric_registry() {
       {"dag.nodes", "recorded dataflow nodes per step"},
       {"dag.edges", "recorded dataflow edges per step"},
       {"dag.crit.*", "per-kernel-class time on the critical path"},
-      {"dist.local_direct_slabs", "ghost slabs passed by pointer"},
+      {"dist.local_direct_slabs", "same-locality ghost faces copied directly"},
       {"dist.local_serialized_slabs", "ghost slabs serialized locally"},
       {"dist.remote_messages", "ghost slabs sent via the transport"},
       {"dist.bytes_serialized", "ghost bytes serialized"},

@@ -178,11 +178,14 @@ void step_engine::restrict_node(index_t node) {
 
 void step_engine::copy_ghosts(index_t node) {
   const apex::scoped_trace_span span("app.exchange.copy");
-  const bool skip_leaf_pairs = leaf_pairs_exchanged() && topo_->node(node).leaf;
+  const bool leaf = topo_->node(node).leaf;
+  const apex::cost_scope cost(
+      leaf ? cost_model_ptr() : nullptr,
+      leaf ? static_cast<std::size_t>(leaf_slot_[node]) : 0);
   for (int d = 0; d < NNEIGHBOR; ++d) {
     const index_t nb = topo_->neighbor(node, d);
     if (nb != tree::invalid_node) {
-      if (!(skip_leaf_pairs && topo_->node(nb).leaf))
+      if (!exchanged_pair(node, nb))
         grids_[node].copy_ghost_direct(d, grids_[nb]);
     } else if (!tree::code_neighbor(topo_->node(node).code,
                                     tree::directions()[d])) {
@@ -242,12 +245,11 @@ apex::access_set step_engine::restrict_footprint(index_t node) const {
 }
 
 apex::access_set step_engine::copy_footprint(index_t node) const {
-  const bool skip_leaf_pairs = leaf_pairs_exchanged() && topo_->node(node).leaf;
   apex::access_set fp;
   for (int d = 0; d < NNEIGHBOR; ++d) {
     const index_t nb = topo_->neighbor(node, d);
     if (nb != tree::invalid_node) {
-      if (!(skip_leaf_pairs && topo_->node(nb).leaf))
+      if (!exchanged_pair(node, nb))
         fp.r(apex::rgn::field, nb).w(apex::rgn::ghost, node, d);
     } else if (!tree::code_neighbor(topo_->node(node).code,
                                     tree::directions()[d])) {
@@ -290,7 +292,7 @@ void step_engine::exchange_ghosts() {
   // Phase 2: same-level direct copies and physical boundaries, for every
   // node.  Interior sub-grids are filled too: their owned cells (from the
   // phase-1 restriction) serve as same-level ghost sources for leaves
-  // adjacent to refined regions.  Leaf-leaf pairs the driver exchanges
+  // adjacent to refined regions.  Leaf-leaf faces the driver exchanges
   // itself follow.
   std::vector<index_t> all(static_cast<std::size_t>(topo_->num_nodes()));
   for (index_t n = 0; n < topo_->num_nodes(); ++n)
@@ -323,13 +325,15 @@ void step_engine::hydro_stage(real dt, real ca, real cb) {
 }
 
 real step_engine::compute_dt() {
-  for (std::size_t i = 0; i < cfl_slots_.size(); ++i) store_leaf_signal(i);
+  each_task(topo_->leaves(), [this](index_t l) {
+    store_leaf_signal(static_cast<std::size_t>(leaf_slot_[l]));
+  });
   return reduce_dt();
 }
 
 void step_engine::step_barrier(real dt) {
   each_task(topo_->leaves(), [this](index_t l) { save_stage0(l); });
-  for (int s = 0; s < 3; ++s) {
+  for (int s = 0; s < rk3_stages; ++s) {
     hydro_stage(dt, rk3_ca[s], rk3_cb[s]);
     exchange_ghosts();
     if (sim_opts().self_gravity) solve_gravity();
@@ -352,16 +356,11 @@ void step_engine::step_graph(real dt) {
   const sim_options& o = sim_opts();
   const auto nn = static_cast<std::size_t>(topo_->num_nodes());
   const auto& leaves = topo_->leaves();
-  // A driver that exchanges leaf pairs moves leaf-leaf faces from the copy
-  // kernel to per-leaf send and per-link unpack tasks (link = leaf slot x
-  // 26 + direction).
-  const bool exchanged = leaf_pairs_exchanged();
-  const std::size_t nlinks = exchanged ? leaves.size() * NNEIGHBOR : 0;
+  // Exchanged leaf-leaf faces leave the copy kernel for per-leaf send and
+  // per-link unpack tasks (link = leaf slot x 26 + direction).
+  const std::size_t nlinks = leaves.size() * NNEIGHBOR;
   const auto link_of = [this](index_t l, int d) {
     return static_cast<std::size_t>(leaf_slot_[l] * NNEIGHBOR + d);
-  };
-  const auto exchanged_pair = [&](index_t n, index_t nb) {
-    return exchanged && topo_->node(n).leaf && topo_->node(nb).leaf;
   };
 
   // Failure latch: the first task that resolves with an exception runs the
@@ -405,7 +404,7 @@ void step_engine::step_graph(real dt) {
   gravity::fmm_solver::solve_graph gprev;
   bool have_gprev = false;
 
-  for (int s = 0; s < 3; ++s) {
+  for (int s = 0; s < rk3_stages; ++s) {
     const real ca = rk3_ca[s], cb = rk3_cb[s];
     std::vector<sf> H(nn), R(nn), C(nn), P(nn), D(nn), SEND(nn);
     std::vector<sf> UNP(nlinks);
@@ -430,12 +429,8 @@ void step_engine::step_graph(real dt) {
           const index_t nb = topo_->neighbor(l, d);
           if (nb == tree::invalid_node) continue;
           if (exchanged_pair(l, nb)) {
-            // Own leaf-leaf ghosts arrived and unpacked last stage...
+            // Own exchanged ghosts arrived and unpacked last stage.
             deps.push_back(prevUnp[link_of(l, d)]);
-            // ...and the neighbor finished reading our owned cells when its
-            // unpack copies straight from them.
-            if (leaf_pair_reads_source(l, nb))
-              deps.push_back(prevUnp[link_of(nb, tree::dir_opposite(d))]);
           } else {
             // WAR: last stage's copy into the neighbor read our cells.
             deps.push_back(prevC[static_cast<std::size_t>(nb)]);
@@ -509,54 +504,49 @@ void step_engine::step_graph(real dt) {
                                   std::move(deps), rt));
     }
 
-    if (exchanged) {
-      // Senders: one task per leaf with leaf-leaf links.  The edge on the
-      // previous stage's send keeps every link's FIFO aligned with stage
-      // order — without it a fast stage-s send could pair with the
-      // receiver's stage s-1 receive.
-      for (const index_t l : leaves) {
-        const auto li = static_cast<std::size_t>(l);
-        bool linked = false;
-        for (int d = 0; d < NNEIGHBOR && !linked; ++d) {
-          const index_t nb = topo_->neighbor(l, d);
-          linked = nb != tree::invalid_node && topo_->node(nb).leaf;
-        }
-        if (!linked) continue;
-        std::vector<sf> deps;
-        deps.push_back(H[li]);
-        if (prevSend[li].valid()) deps.push_back(prevSend[li]);
-        SEND[li] = track(amt::dataflow(
-            "send", apex::access_set{}.r(apex::rgn::field, l),
-            [this, l] { send_leaf_pairs(l); }, std::move(deps), rt));
+    // Senders: one task per leaf with exchanged faces.  The edge on the
+    // previous stage's send keeps every link's FIFO aligned with stage
+    // order — without it a fast stage-s send could pair with the
+    // receiver's stage s-1 receive.
+    for (const index_t l : leaves) {
+      const auto li = static_cast<std::size_t>(l);
+      bool linked = false;
+      for (int d = 0; d < NNEIGHBOR && !linked; ++d) {
+        const index_t nb = topo_->neighbor(l, d);
+        linked = nb != tree::invalid_node && exchanged_pair(l, nb);
       }
+      if (!linked) continue;
+      std::vector<sf> deps;
+      deps.push_back(H[li]);
+      if (prevSend[li].valid()) deps.push_back(prevSend[li]);
+      SEND[li] = track(amt::dataflow(
+          "send", apex::access_set{}.r(apex::rgn::field, l),
+          [this, l] { send_leaf_pairs(l); }, std::move(deps), rt));
+    }
 
-      // Receivers: the arrival resolves a per-link future, and the unpack
-      // task fires on {arrival, WAR edges} — no exchange barrier.  Receives
-      // are issued in stage order here, matching the per-link FIFO.
-      for (const index_t l : leaves) {
-        const auto li = static_cast<std::size_t>(l);
-        for (int d = 0; d < NNEIGHBOR; ++d) {
-          const index_t nb = topo_->neighbor(l, d);
-          if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
-          const std::size_t link = link_of(l, d);
-          leaf_pair_receive rx = receive_leaf_pair(l, d);
-          std::vector<sf> deps;
-          deps.push_back(std::move(rx.arrival));
-          deps.push_back(H[li]);  // WAR: hydro read this ghost face
-          if (s > 0) {
-            if (prevUnp[link].valid()) deps.push_back(prevUnp[link]);
-            for (const index_t f : pclients_[li])
-              deps.push_back(prevP[static_cast<std::size_t>(f)]);
-          }
-          // Footprint: the ghost-face write only.  An unpack that reads the
-          // source's owned cells is ordered by the arrival — a
-          // happens-before edge the recorded graph cannot see (the arrival
-          // resolves outside any dataflow node) — so declaring that read
-          // would be a guaranteed false positive.
-          UNP[link] = track(amt::dataflow(
-              "unpack", apex::access_set{}.w(apex::rgn::ghost, l, d),
-              std::move(rx.unpack), std::move(deps), rt));
+    // Receivers: the arrival resolves a per-link future, and the unpack
+    // task fires on {arrival, WAR edges} — no exchange barrier.  Receives
+    // are issued in stage order here, matching the per-link FIFO.  The
+    // unpack reads only the arrived bytes, so its footprint is the
+    // ghost-face write.
+    for (const index_t l : leaves) {
+      const auto li = static_cast<std::size_t>(l);
+      for (int d = 0; d < NNEIGHBOR; ++d) {
+        const index_t nb = topo_->neighbor(l, d);
+        if (nb == tree::invalid_node || !exchanged_pair(l, nb)) continue;
+        const std::size_t link = link_of(l, d);
+        leaf_pair_receive rx = receive_leaf_pair(l, d);
+        std::vector<sf> deps;
+        deps.push_back(std::move(rx.arrival));
+        deps.push_back(H[li]);  // WAR: hydro read this ghost face
+        if (s > 0) {
+          if (prevUnp[link].valid()) deps.push_back(prevUnp[link]);
+          for (const index_t f : pclients_[li])
+            deps.push_back(prevP[static_cast<std::size_t>(f)]);
         }
+        UNP[link] = track(amt::dataflow(
+            "unpack", apex::access_set{}.w(apex::rgn::ghost, l, d),
+            std::move(rx.unpack), std::move(deps), rt));
       }
     }
 

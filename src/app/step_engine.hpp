@@ -20,12 +20,13 @@
 ///     dual-execution vote and escalation; seal-all, verify-all,
 ///     audit-and-seal; the state signature and bit-flip application.
 ///
-/// A driver supplies only what differs: the leaf-pair hooks — how leaf-leaf
-/// ghost faces travel (the single process copies them with the copy
-/// kernel; the cluster sends, receives and unpacks them through its
-/// channels, in both schedules) — the leaf ownership fault injection
-/// resolves against, and the extra state a retried step must roll back
-/// (the cluster's exchange statistics).
+/// A driver supplies only what differs: the leaf-pair hooks — which
+/// leaf-leaf ghost faces leave the copy kernel and how they travel (the
+/// single process copies every face; the cluster copies same-locality
+/// faces too when the §VII-B optimization is on, and sends, receives and
+/// unpacks the rest through its channels, in both schedules) — the leaf
+/// ownership fault injection resolves against, and the extra state a
+/// retried step must roll back (the cluster's exchange statistics).
 
 #include <functional>
 #include <memory>
@@ -106,9 +107,11 @@ struct ledger {
 };
 
 /// SSP-RK3 (Shu-Osher) stage weights: stage s sets
-/// u <- rk3_ca[s] u0 + rk3_cb[s] (u + dt L(u)).
-inline constexpr real rk3_ca[3] = {0, real(0.75), real(1) / 3};
-inline constexpr real rk3_cb[3] = {1, real(0.25), real(2) / 3};
+/// u <- rk3_ca[s] u0 + rk3_cb[s] (u + dt L(u)).  Every stage exchanges
+/// ghosts once.
+inline constexpr int rk3_stages = 3;
+inline constexpr real rk3_ca[rk3_stages] = {0, real(0.75), real(1) / 3};
+inline constexpr real rk3_cb[rk3_stages] = {1, real(0.25), real(2) / 3};
 
 class step_engine {
  public:
@@ -156,17 +159,20 @@ class step_engine {
   // --- what a driver supplies ---------------------------------------------
   virtual const sim_options& sim_opts() const = 0;
 
-  // Leaf-pair hooks.  Unless leaf_pairs_exchanged(), leaf-leaf same-level
-  // ghost faces ride the copy kernel and the exchange, send and receive
-  // hooks are never called.
-  /// True when leaf-leaf same-level ghost faces travel through the hooks
-  /// below instead of the copy kernel.
-  virtual bool leaf_pairs_exchanged() const { return false; }
-  /// Barrier-mode leaf-leaf ghost exchange (called between the copy and
-  /// prolongation phases of exchange_ghosts()).
+  // Leaf-pair hooks.  A leaf-leaf same-level ghost face rides the copy
+  // kernel unless leaf_pair_exchanged() says the driver moves it itself;
+  // the exchange, send and receive hooks carry only those faces.
+  /// True when the face between leaves \p l and \p nb (same level,
+  /// adjacent) travels through the hooks below, in both directions,
+  /// instead of the copy kernel.  Must be symmetric in (l, nb).
+  virtual bool leaf_pair_exchanged(index_t /*l*/, index_t /*nb*/) const {
+    return false;
+  }
+  /// Barrier-mode exchange of the exchanged leaf-leaf faces (called
+  /// between the copy and prolongation phases of exchange_ghosts()).
   virtual void exchange_leaf_pairs() {}
-  /// Dataflow send body: ship leaf \p l's faces to every same-level leaf
-  /// neighbor (one task per leaf and RK stage, in stage order per leaf).
+  /// Dataflow send body: ship leaf \p l's exchanged faces (one task per
+  /// leaf with exchanged faces and RK stage, in stage order per leaf).
   virtual void send_leaf_pairs(index_t /*l*/) {}
   /// One inbound face of one RK stage: resolves when the slab arrived, and
   /// the body that writes it into the receiver's ghost face.
@@ -174,16 +180,10 @@ class step_engine {
     amt::shared_future<void> arrival;
     std::function<void()> unpack;
   };
-  /// Dataflow receive of leaf \p l's face \p d, issued once per RK stage
-  /// in stage order.
+  /// Dataflow receive of leaf \p l's exchanged face \p d, issued once per
+  /// RK stage in stage order.
   virtual leaf_pair_receive receive_leaf_pair(index_t /*l*/, int /*d*/) {
     return {};
-  }
-  /// Does the unpack of \p src's face into \p dst read \p src's owned
-  /// cells directly (so \p src's next hydro update must wait for it)?
-  virtual bool leaf_pair_reads_source(index_t /*src*/,
-                                      index_t /*dst*/) const {
-    return false;
   }
   /// Taken once per dataflow step; run once, from the continuation of the
   /// step's first failing task, so pending arrivals resolve and the drain
@@ -215,7 +215,7 @@ class step_engine {
   void hydro_leaf(index_t leaf, real dt, real ca, real cb);
   void restrict_node(index_t node);
   /// Same-level ghost copies and physical-boundary outflow fills of one
-  /// node (leaf-leaf pairs skipped when leaf_pairs_exchanged()).
+  /// node (exchanged leaf-leaf faces skipped).
   void copy_ghosts(index_t node);
   void prolong_leaf(index_t leaf);
   void set_density(index_t leaf);
@@ -250,6 +250,13 @@ class step_engine {
   apex::step_record base_step_record(real dt, double step_seconds,
                                      const amt::runtime_stats& stats0) const;
   void emit_step_record(apex::step_record rec);
+
+  /// Leaf-leaf pair whose face the driver exchanges (see
+  /// leaf_pair_exchanged); false whenever either node is interior.
+  bool exchanged_pair(index_t n, index_t nb) const {
+    return topo_->node(n).leaf && topo_->node(nb).leaf &&
+           leaf_pair_exchanged(n, nb);
+  }
 
   apex::leaf_cost_model* cost_model_ptr() {
     return cost_model_.active() ? &cost_model_ : nullptr;
@@ -291,8 +298,8 @@ class step_engine {
   real compute_dt();
   void step_barrier(real dt);
   /// The three RK stages as one per-leaf dependency graph: hydro chained
-  /// on each leaf's own ghost/gravity edges, leaf-pair send/unpack tasks
-  /// when the driver exchanges leaf pairs, gravity via solve_dataflow, and
+  /// on each leaf's own ghost/gravity edges, send/unpack tasks for the
+  /// leaf-leaf faces the driver exchanges, gravity via solve_dataflow, and
   /// dt-reduce tasks feeding the CFL slots (run_schedule() reduces after
   /// the drain).  The drain waits on every task, then rethrows the first
   /// error in build order that is not a broken_channel, falling back to

@@ -172,12 +172,30 @@ void cluster::rebuild_channels() {
   // delayed in-flight frames deliver into a closed channel and drop.
   for (auto& ch : channels_)
     if (ch) ch->close();
-  const std::size_t nleaves = topo_->leaves().size();
+  const auto& leaves = topo_->leaves();
+  const std::size_t nleaves = leaves.size();
   const std::size_t n = nleaves * NNEIGHBOR;
-  channels_.clear();
-  channels_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    channels_.push_back(std::make_shared<amt::channel<boundary_msg>>());
+  // Channels exist only on exchanged links; the copy kernel fills the
+  // other leaf-leaf faces, counted once per exchange as local_direct.
+  channels_.assign(n, nullptr);
+  direct_links_ = 0;
+  linked_leaves_.clear();
+  for (const index_t l : leaves) {
+    bool linked = false;
+    for (int d = 0; d < NNEIGHBOR; ++d) {
+      const index_t nb = topo_->neighbor(l, d);
+      if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
+      if (!leaf_pair_exchanged(l, nb)) {
+        ++direct_links_;
+        continue;
+      }
+      channels_[static_cast<std::size_t>(leaf_slot_[l]) * NNEIGHBOR +
+                static_cast<std::size_t>(d)] =
+          std::make_shared<amt::channel<slab_bytes>>();
+      linked = true;
+    }
+    if (linked) linked_leaves_.push_back(l);
+  }
   if (opt_.reliable_transport) {
     // One extra link per leaf slot past the boundary range carries that
     // leaf's migration payload during a rebalance.
@@ -261,20 +279,11 @@ void cluster::send_slabs(index_t l, xfer_counts& counts) {
                               static_cast<std::size_t>(leaf_slot_[l]));
   for (int d = 0; d < NNEIGHBOR; ++d) {
     const index_t nb = topo_->neighbor(l, d);
-    if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
+    if (nb == tree::invalid_node || !exchanged_pair(l, nb)) continue;
     // The receiver nb sees us in the opposite direction.
     const int rd = tree::dir_opposite(d);
     const int link = static_cast<int>(leaf_slot_[nb]) * NNEIGHBOR + rd;
-    auto& ch = *channels_[static_cast<std::size_t>(link)];
     const bool same_loc = owner(l) == owner(nb);
-    if (same_loc && opt_.local_optimization) {
-      boundary_msg msg;
-      msg.direct = true;
-      msg.src = &grids_[l];
-      ch.send(std::move(msg));
-      counts.ld.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     std::vector<real> slab;
     grids_[l].pack_for_neighbor(d, slab);
     oarchive ar;
@@ -288,33 +297,25 @@ void cluster::send_slabs(index_t l, xfer_counts& counts) {
       apex::registry::instance().add(counters().faults);
     counts.by.fetch_add(bytes.size(), std::memory_order_relaxed);
     (same_loc ? counts.ls : counts.rm).fetch_add(1, std::memory_order_relaxed);
+    const auto& sink = channels_[static_cast<std::size_t>(link)];
     if (transport_) {
       // Reliable path: sequence/ack/retry through the lossy network;
       // blocks (helping the scheduler) until acked.
-      auto sink = channels_[static_cast<std::size_t>(link)];
       transport_->send(link, owner(l), owner(nb), std::move(bytes),
-                       [sink](std::vector<std::uint8_t> payload) {
-                         boundary_msg msg;
-                         msg.bytes = std::move(payload);
-                         sink->send(std::move(msg));
+                       [sink](slab_bytes payload) {
+                         sink->send(std::move(payload));
                        });
     } else {
-      boundary_msg msg;
-      msg.bytes = std::move(bytes);
-      ch.send(std::move(msg));
+      sink->send(std::move(bytes));
     }
   }
 }
 
-void cluster::unpack_slab(index_t l, int d, boundary_msg msg) {
+void cluster::unpack_slab(index_t l, int d, slab_bytes bytes) {
   const apex::scoped_trace_span span("dist.exchange.unpack");
   const apex::cost_scope cost(cost_model_ptr(),
                               static_cast<std::size_t>(leaf_slot_[l]));
-  if (msg.direct) {
-    grids_[l].copy_ghost_direct(d, *msg.src);
-    return;
-  }
-  iarchive ar(std::move(msg.bytes));
+  iarchive ar(std::move(bytes));
   ar.unseal("serialized ghost slab");
   const auto rd = ar.get<std::int32_t>();
   OCTO_CHECK(rd == d);
@@ -323,9 +324,10 @@ void cluster::unpack_slab(index_t l, int d, boundary_msg msg) {
                                  static_cast<index_t>(slab.size()));
 }
 
-void cluster::fold_exchange_counts(const xfer_counts& counts) {
-  const std::uint64_t ld = counts.ld.load(), ls = counts.ls.load(),
-                      rm = counts.rm.load(), by = counts.by.load();
+void cluster::fold_exchange_counts(const xfer_counts& counts, int exchanges) {
+  const std::uint64_t ld = direct_links_ * static_cast<std::uint64_t>(exchanges),
+                      ls = counts.ls.load(), rm = counts.rm.load(),
+                      by = counts.by.load();
   stats_.local_direct += ld;
   stats_.local_serialized += ls;
   stats_.remote_messages += rm;
@@ -341,11 +343,11 @@ void cluster::fold_exchange_counts(const xfer_counts& counts) {
 
 app::step_engine::leaf_pair_receive cluster::receive_leaf_pair(index_t l,
                                                                int d) {
-  // The arrival stashes the message in a per-link box the unpack consumes.
-  auto box = std::make_shared<boundary_msg>();
+  // The arrival stashes the slab in a per-link box the unpack consumes.
+  auto box = std::make_shared<slab_bytes>();
   const auto link = static_cast<std::size_t>(leaf_slot_[l] * NNEIGHBOR + d);
   return {channels_[link]->receive().then_inline(
-              [box](boundary_msg msg) { *box = std::move(msg); },
+              [box](slab_bytes bytes) { *box = std::move(bytes); },
               space_.runtime()),
           [this, l, d, box] { unpack_slab(l, d, std::move(*box)); }};
 }
@@ -354,7 +356,8 @@ std::function<void()> cluster::leaf_pair_failure_hook() {
   // Close this step's channels, held by copy so a late close hits live
   // channel objects even after rebuild_channels().
   return [channels = channels_] {
-    for (const auto& ch : channels) ch->close();
+    for (const auto& ch : channels)
+      if (ch) ch->close();
   };
 }
 
@@ -362,29 +365,29 @@ void cluster::leaf_pairs_drained(bool failed) {
   if (failed)
     rebuild_channels();  // hand the next attempt fresh channels
   else
-    fold_exchange_counts(graph_counts_);
+    fold_exchange_counts(graph_counts_, app::rk3_stages);
   graph_counts_.clear();  // a failed step counts no slabs
 }
 
 void cluster::exchange_leaf_pairs() {
   auto& rt = space_.runtime();
   xfer_counts counts;
-  // Senders: one task per leaf.
+  // Senders: one task per leaf with exchanged faces.
   std::vector<amt::future<void>> send_futs;
-  for (const index_t l : topo_->leaves())
+  send_futs.reserve(linked_leaves_.size());
+  for (const index_t l : linked_leaves_)
     send_futs.push_back(
         amt::async([this, l, &counts] { send_slabs(l, counts); }, rt));
 
   // Receivers: unpack continuations chained on the channel futures.
   std::vector<amt::future<void>> recv_futs;
-  for (const index_t l : topo_->leaves()) {
+  for (const index_t l : linked_leaves_) {
     for (int d = 0; d < NNEIGHBOR; ++d) {
-      const index_t nb = topo_->neighbor(l, d);
-      if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
-      auto& ch = *channels_[static_cast<std::size_t>(
-          leaf_slot_[l] * NNEIGHBOR + d)];
-      recv_futs.push_back(ch.receive().then(
-          [this, l, d](boundary_msg msg) { unpack_slab(l, d, std::move(msg)); },
+      const auto& ch =
+          channels_[static_cast<std::size_t>(leaf_slot_[l] * NNEIGHBOR + d)];
+      if (!ch) continue;
+      recv_futs.push_back(ch->receive().then(
+          [this, l, d](slab_bytes bytes) { unpack_slab(l, d, std::move(bytes)); },
           rt));
     }
   }
@@ -401,7 +404,8 @@ void cluster::exchange_leaf_pairs() {
     // continuation surfaces instead of being swallowed by a bare wait;
     // only the broken_channel noise from the close above is filtered out.
     // Hand the next attempt fresh channels, then rethrow.
-    for (auto& ch : channels_) ch->close();
+    for (auto& ch : channels_)
+      if (ch) ch->close();
     std::exception_ptr unpack_err;
     for (auto& f : recv_futs) {
       try {
@@ -416,7 +420,7 @@ void cluster::exchange_leaf_pairs() {
     throw;
   }
   amt::get_all(recv_futs, rt);
-  fold_exchange_counts(counts);
+  fold_exchange_counts(counts, 1);
 }
 
 void cluster::detect_locality_failures() {

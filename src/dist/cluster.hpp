@@ -3,25 +3,27 @@
 /// In-process multi-locality execution of the simulation.
 ///
 /// The octree's leaves are partitioned over `num_localities` HPX-style
-/// localities along the space-filling curve (tree/partition.hpp).  Leaf
-/// ghost exchange runs through per-(leaf, direction) channels, exactly like
+/// localities along the space-filling curve (tree/partition.hpp).  A leaf's
+/// same-level leaf-neighbor ghost faces travel one of two ways, like
 /// Octo-Tiger's boundary communication:
 ///
+///   * same-locality pairs with `local_optimization == true` (§VII-B):
+///     the receiver reads the neighbor's memory directly, with no runtime
+///     messaging — the step engine's copy kernel fills the face, ordered
+///     after the neighbor's hydro update by the phase order (barrier) or
+///     by the copy task's dependency edges (dataflow);
 ///   * remote pairs, or any pair with `local_optimization == false`:
 ///     the sender packs the 26-direction slab, *serializes* it (the HPX
-///     action path), and the receiver deserializes and unpacks;
-///   * same-locality pairs with `local_optimization == true` (§VII-B):
-///     the sender passes a bare pointer token through the channel — the
-///     promise/future notification that "the local values are up-to-date
-///     and can be safely accessed" — and the receiver copies directly from
-///     the neighbor's memory, skipping serialization and buffers.
+///     action path) into a per-(leaf, direction) channel, and the receiver
+///     deserializes and unpacks.
 ///
-/// The receive side is barrier-free across leaves (communication/
-/// computation overlap as in the real code): in barrier mode each channel
-/// future carries its unpack as a `.then` continuation, joined with the
-/// sends by `get_all`; in dataflow mode each arrival gates an unpack task
-/// of the step graph (app::step_engine::step_graph, through the leaf-pair
-/// hooks below).  Statistics feed the DES calibration and Fig. 8's model.
+/// The receive side of the channels is barrier-free across leaves
+/// (communication/computation overlap as in the real code): in barrier
+/// mode each channel future carries its unpack as a `.then` continuation,
+/// joined with the sends by `get_all`; in dataflow mode each arrival gates
+/// an unpack task of the step graph (app::step_engine::step_graph, through
+/// the leaf-pair hooks below).  Statistics feed the DES calibration and
+/// Fig. 8's model.
 ///
 /// Every serialized slab is sealed with a CRC-32; a slab corrupted or
 /// truncated in transit (for real, or via the fault injector in
@@ -93,7 +95,7 @@ struct dist_options {
 };
 
 struct exchange_stats {
-  std::uint64_t local_direct = 0;      ///< slabs passed as pointer tokens
+  std::uint64_t local_direct = 0;      ///< faces copied within a locality
   std::uint64_t local_serialized = 0;  ///< same-locality but full path
   std::uint64_t remote_messages = 0;
   std::uint64_t bytes_serialized = 0;
@@ -185,34 +187,29 @@ class cluster : public app::step_engine {
   void write_cluster_report(std::ostream& os) const;
 
  private:
-  /// One message through a boundary channel.
-  struct boundary_msg {
-    bool direct = false;              ///< token: copy straight from `src`
-    const grid::subgrid* src = nullptr;
-    std::vector<std::uint8_t> bytes;  ///< serialized slab otherwise
-  };
+  /// One serialized slab through a boundary channel.
+  using slab_bytes = std::vector<std::uint8_t>;
 
-  /// Exchange statistics accumulated lock-free by the send tasks of one
-  /// exchange (or one dataflow step), folded into stats_ afterwards.
+  /// Serialized-slab statistics accumulated lock-free by the send tasks of
+  /// one exchange (or one dataflow step), folded into stats_ afterwards.
   struct xfer_counts {
-    std::atomic<std::uint64_t> ld{0}, ls{0}, rm{0}, by{0};
+    std::atomic<std::uint64_t> ls{0}, rm{0}, by{0};
     void clear() {
-      for (auto* c : {&ld, &ls, &rm, &by}) c->store(0);
+      for (auto* c : {&ls, &rm, &by}) c->store(0);
     }
   };
 
   const app::sim_options& sim_opts() const override { return opt_.sim; }
-  // Leaf-pair hooks: every leaf-leaf face travels through the boundary
-  // channels, in both schedules.
-  bool leaf_pairs_exchanged() const override { return true; }
-  /// Barrier-mode leaf-leaf exchange through the boundary channels.
+  // Leaf-pair hooks: a face leaves the copy kernel for the boundary
+  // channels unless both leaves share a locality and the §VII-B
+  // optimization is on.
+  bool leaf_pair_exchanged(index_t l, index_t nb) const override {
+    return !opt_.local_optimization || owner(l) != owner(nb);
+  }
+  /// Barrier-mode exchange of the serialized faces.
   void exchange_leaf_pairs() override;
   void send_leaf_pairs(index_t l) override { send_slabs(l, graph_counts_); }
   leaf_pair_receive receive_leaf_pair(index_t l, int d) override;
-  /// Direct-token pairs: the receiver copies from the sender's grid.
-  bool leaf_pair_reads_source(index_t src, index_t dst) const override {
-    return owner(src) == owner(dst) && opt_.local_optimization;
-  }
   /// Closes every channel, so pending arrivals resolve.
   std::function<void()> leaf_pair_failure_hook() override;
   /// Rebuilds the channels after a failed step; folds the step's exchange
@@ -227,17 +224,20 @@ class cluster : public app::step_engine {
   int owner(index_t node) const { return part_.owner(node); }
 
   /// Pack, seal, fault-hook and transport leaf \p l's slabs to every
-  /// same-level leaf neighbor (a bare pointer token when the pair is
-  /// same-locality and local_optimization is on).
+  /// same-level leaf neighbor whose face is exchanged.
   void send_slabs(index_t l, xfer_counts& counts);
-  /// Write one arrived slab into leaf \p l's ghost face \p d.
-  void unpack_slab(index_t l, int d, boundary_msg msg);
-  /// Fold one exchange's counts into stats_ and the apex counters.
-  void fold_exchange_counts(const xfer_counts& counts);
+  /// Verify and write one arrived slab into leaf \p l's ghost face \p d.
+  void unpack_slab(index_t l, int d, slab_bytes bytes);
+  /// Fold the counts of \p exchanges ghost exchanges into stats_ and the
+  /// apex counters: the serialized slabs \p counts saw, plus the
+  /// copy-kernel faces, direct_links_ per exchange.
+  void fold_exchange_counts(const xfer_counts& counts, int exchanges);
 
   /// Fresh boundary channels and a fresh transport epoch; old channels are
   /// closed first so stragglers (pending receives, delayed in-flight
-  /// frames) fail or drop instead of corrupting the next exchange.
+  /// frames) fail or drop instead of corrupting the next exchange.  Also
+  /// re-derives the partition-dependent link sets (direct_links_,
+  /// linked_leaves_), so it runs after every partition change.
   void rebuild_channels();
   /// Heartbeat round at the top of step(): fires any armed locality kill,
   /// scrubs the victim's leaves, and throws locality_failure for every
@@ -262,7 +262,13 @@ class cluster : public app::step_engine {
   /// channels_[leaf_slot * 26 + dir]: inbound slab from direction dir.
   /// shared_ptr so a delayed transport frame delivering after a rebuild
   /// lands in the old, closed channel (dropped) instead of freed memory.
-  std::vector<std::shared_ptr<amt::channel<boundary_msg>>> channels_;
+  std::vector<std::shared_ptr<amt::channel<slab_bytes>>> channels_;
+  /// Same-locality leaf-leaf links the copy kernel fills under the
+  /// current partition (0 with local_optimization off): one exchange's
+  /// `local_direct` count.
+  std::uint64_t direct_links_ = 0;
+  /// Leaves with at least one exchanged face, in leaf order.
+  std::vector<index_t> linked_leaves_;
   std::unique_ptr<transport> transport_;
 
   /// Liveness and recovery state.

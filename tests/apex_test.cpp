@@ -58,8 +58,11 @@ TEST(Apex, DisabledIsNoOp) {
   r.set_enabled(false);
   r.add(id, 100);
   r.set_enabled(true);
-  for (const auto& c : r.counters())
-    if (c.name == "apex_test.disabled") EXPECT_EQ(c.value, 0u);
+  for (const auto& c : r.counters()) {
+    if (c.name == "apex_test.disabled") {
+      EXPECT_EQ(c.value, 0u);
+    }
+  }
 }
 
 TEST(Apex, TimedHelperReturnsValue) {
@@ -88,9 +91,11 @@ TEST(Apex, ConcurrentSamplesAllCounted) {
   work();
   t1.join();
   t2.join();
-  for (const auto& t : r.timers())
-    if (t.name == "apex_test.concurrent")
+  for (const auto& t : r.timers()) {
+    if (t.name == "apex_test.concurrent") {
       EXPECT_EQ(t.calls, 3u * per_thread);
+    }
+  }
 }
 
 // The seed kept slots in a std::vector, so a sample() concurrent with a

@@ -133,7 +133,7 @@ TEST_F(ClusterEnv, OptimizationStatsDirectVsSerialized) {
 
   const auto s_on = c_on.stats();
   const auto s_off = c_off.stats();
-  // with the optimization every same-locality slab is a direct token
+  // with the optimization every same-locality face is copied directly
   EXPECT_GT(s_on.local_direct, 0u);
   EXPECT_EQ(s_on.local_serialized, 0u);
   // without it nothing is direct

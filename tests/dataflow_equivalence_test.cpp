@@ -101,6 +101,62 @@ TEST_P(DataflowClusterEquivalence, TenStepsBitwise) {
   EXPECT_EQ(df.stats().total_slabs(), ref.stats().total_slabs());
 }
 
+/// Same-locality faces ride the copy kernel instead of the channels, yet
+/// the exchange statistics count them as before: every ghost exchange adds
+/// the partition's static same-locality leaf-leaf link count (local_direct
+/// with the optimization on, local_serialized with it off) and its
+/// cross-locality count (remote_messages), in both schedules.
+TEST_P(DataflowClusterEquivalence, ExchangeStatsCountStaticLinks) {
+  constexpr int steps = 2;
+  const int nloc = GetParam();
+  auto& sc = binary_scenario();
+  for (const bool local_opt : {true, false}) {
+    dist::dist_options bo;
+    bo.num_localities = nloc;
+    bo.local_optimization = local_opt;
+    bo.sim = sim_opts(app::step_mode::barrier);
+    dist::cluster ref(sc, bo);
+    ref.initialize();
+    dist::dist_options go = bo;
+    go.sim.mode = app::step_mode::dataflow;
+    dist::cluster df(sc, go);
+    df.initialize();
+    for (int s = 0; s < steps; ++s) {
+      ref.step();
+      df.step();
+    }
+
+    std::uint64_t same = 0, cross = 0;
+    const auto& topo = ref.topo();
+    for (const index_t l : topo.leaves()) {
+      for (int d = 0; d < NNEIGHBOR; ++d) {
+        const index_t nb = topo.neighbor(l, d);
+        if (nb == tree::invalid_node || !topo.node(nb).leaf) continue;
+        ++(ref.partition().owner(l) == ref.partition().owner(nb) ? same
+                                                                 : cross);
+      }
+    }
+    ASSERT_GT(same, 0u);
+    if (nloc == 1) {
+      EXPECT_EQ(cross, 0u);
+    }
+    // initialize() exchanges once; every step once per RK stage.
+    const std::uint64_t exchanges = 1 + app::rk3_stages * steps;
+    const auto& a = ref.stats();
+    const auto& b = df.stats();
+    EXPECT_EQ(b.local_direct, a.local_direct) << "local_opt=" << local_opt;
+    EXPECT_EQ(b.local_serialized, a.local_serialized)
+        << "local_opt=" << local_opt;
+    EXPECT_EQ(b.remote_messages, a.remote_messages)
+        << "local_opt=" << local_opt;
+    EXPECT_EQ(b.bytes_serialized, a.bytes_serialized)
+        << "local_opt=" << local_opt;
+    EXPECT_EQ(a.local_direct, local_opt ? same * exchanges : 0u);
+    EXPECT_EQ(a.local_serialized, local_opt ? 0u : same * exchanges);
+    EXPECT_EQ(a.remote_messages, cross * exchanges);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Localities, DataflowClusterEquivalence,
                          testing::Values(1, 4));
 

@@ -224,8 +224,9 @@ TEST_F(ExtEnv, RadialProfileMonotoneForPolytrope) {
   real prev = -1;
   for (std::size_t b = 0; b < prof.value.size(); ++b) {
     if (prof.count[b] == 0) continue;
-    if (prev >= 0)
+    if (prev >= 0) {
       EXPECT_LE(prof.value[b], prev * (1 + 1e-6)) << "bin " << b;
+    }
     prev = prof.value[b];
   }
 }

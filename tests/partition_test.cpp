@@ -150,7 +150,9 @@ TEST(PartitionShrink, MultipleDeadAndInteriorPropagation) {
     EXPECT_NE(p.owner(n), 0);
     EXPECT_NE(p.owner(n), 3);
     const auto& nd = t.node(n);
-    if (!nd.leaf) EXPECT_EQ(p.owner(n), p.owner(nd.children[0]));
+    if (!nd.leaf) {
+      EXPECT_EQ(p.owner(n), p.owner(nd.children[0]));
+    }
   }
 }
 

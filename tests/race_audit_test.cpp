@@ -285,10 +285,10 @@ std::string shape_listing(const shape_counts& c) {
 }
 
 /// Run one audited dataflow step of \p driver (already initialized) and
-/// return the shape of its recorded graph (read back from the
-/// OCTO_RACE_AUDIT_DUMP file the auditor writes).
+/// return its recorded graph (read back from the OCTO_RACE_AUDIT_DUMP file
+/// the auditor writes).
 template <typename Driver>
-shape_counts recorded_step_shape(Driver& driver, const std::string& dump) {
+owned_graph recorded_step_graph(Driver& driver, const std::string& dump) {
   ::setenv("OCTO_RACE_AUDIT_DUMP", dump.c_str(), 1);
   driver.step();
   ::unsetenv("OCTO_RACE_AUDIT_DUMP");
@@ -297,7 +297,71 @@ shape_counts recorded_step_shape(Driver& driver, const std::string& dump) {
   std::ostringstream text;
   text << in.rdbuf();
   std::remove(dump.c_str());
-  return graph_shape(load_graph_json(text.str()).graph);
+  return load_graph_json(text.str());
+}
+
+template <typename Driver>
+shape_counts recorded_step_shape(Driver& driver, const std::string& dump) {
+  return graph_shape(recorded_step_graph(driver, dump).graph);
+}
+
+TEST_F(RaceAuditSim, DroppedSameLocalityCopyEdgeIsCaught) {
+  // With the §VII-B optimization a same-locality leaf-leaf face rides the
+  // copy kernel: the copy task filling leaf n's ghosts reads its neighbor
+  // l's owned cells, and l's next hydro update waits on that copy (the
+  // hydro task's WAR edge on each neighbor's previous copy).  Remove
+  // exactly those edges between same-locality leaves from the audited
+  // view of a recorded 4-locality step, and the auditor must flag the
+  // copy's read of the neighbor's field against the hydro write.
+  dist::dist_options o;
+  o.num_localities = 4;
+  o.sim = dataflow_options();
+  o.sim.max_level = 2;
+  dist::cluster cl(scen::rotating_star(), o);
+  cl.initialize();
+  owned_graph og =
+      recorded_step_graph(cl, "race_audit_samelocality_test.json");
+  auto& nodes = og.graph.nodes;
+  const auto& part = cl.partition();
+
+  // The leaf whose ghosts a copy task writes, or -1.
+  const auto copy_target = [&](const dag_node& c) -> std::int32_t {
+    if (std::string(c.cls) != "copy") return -1;
+    for (const auto& a : c.footprint)
+      if (a.write && a.region == rgn::ghost &&
+          cl.topo().node(a.node).leaf)
+        return a.node;
+    return -1;
+  };
+  std::size_t dropped = 0;
+  for (auto& h : nodes) {
+    if (std::string(h.cls) != "hydro-RK") continue;
+    std::int32_t l = -1;
+    for (const auto& a : h.footprint)
+      if (a.write && a.region == rgn::field) l = a.node;
+    ASSERT_GE(l, 0);
+    std::vector<std::uint32_t> kept;
+    for (const std::uint32_t d : h.deps) {
+      const std::int32_t n = copy_target(nodes[d]);
+      const bool drop = n >= 0 && n != l && part.owner(n) == part.owner(l);
+      if (drop) ++dropped;
+      else kept.push_back(d);
+    }
+    h.deps = std::move(kept);
+  }
+  ASSERT_GT(dropped, 0u) << "no same-locality copy->hydro-RK WAR edge";
+
+  const auto res = audit_races(og.graph);
+  ASSERT_FALSE(res.clean()) << "dropping the same-locality copy WAR edges "
+                               "must surface the copy's neighbor read";
+  for (const auto& c : res.conflicts) {
+    EXPECT_EQ(c.first_cls, "copy") << c.describe();
+    EXPECT_EQ(c.second_cls, "hydro-RK") << c.describe();
+    EXPECT_EQ(c.first_access.region, rgn::field) << c.describe();
+    EXPECT_FALSE(c.first_access.write) << c.describe();
+    EXPECT_TRUE(c.second_access.write) << c.describe();
+    EXPECT_EQ(c.first_access.node, c.second_access.node) << c.describe();
+  }
 }
 
 /// \p base with the entries of \p changes overwritten or added.
@@ -313,11 +377,12 @@ TEST_F(RaceAuditSim, StepGraphShapeIsFrozen) {
   // this catches it.  Graphs: rotating_star in the single-process driver
   // at L2 (uniform) and L3 (refined: prolongation and fine-coarse gravity),
   // the shared-SCF dwd at L2 in a 4-locality cluster with and without the
-  // same-locality direct-access optimization (direct-token WAR edges vs.
-  // the fully serialized exchange), and rotating_star L3 in a 4-locality
-  // cluster (prolongation gated on unpacked host faces).  A cluster graph
-  // is written as the same-tree simulation graph plus what differs: its
-  // leaf-leaf faces travel through send/unpack tasks instead of copy.
+  // same-locality direct-access optimization (same-locality faces on the
+  // copy kernel vs. the fully serialized exchange), and rotating_star L3
+  // in a 4-locality cluster (prolongation gated on unpacked host faces).
+  // A cluster graph is written as the same-tree simulation graph plus what
+  // differs: its exchanged leaf-leaf faces travel through send/unpack
+  // tasks instead of copy.
   const std::string dump = "race_audit_shape_test.json";
   const auto sim_shape = [&](int level) {
     app::sim_options opt = dataflow_options();
@@ -385,23 +450,30 @@ TEST_F(RaceAuditSim, StepGraphShapeIsFrozen) {
       {"set-density->hydro-RK", 240}, {"snapshot", 120},
       {"snapshot->hydro-RK", 120}, {"zero", 411}, {"zero->M2L", 432},
   };
+  // With the optimization on, same-locality leaf-leaf faces stay on the
+  // copy kernel (copy->hydro-RK WAR/RAW edges); only the serialized faces
+  // take send/unpack tasks.
   const shape_counts cluster_l2 = with(sim_l2, {
-      {"#order", 24558}, {"copy->hydro-RK", 128}, {"hydro-RK->copy", 192},
+      {"#order", 59614}, {"copy->hydro-RK", 1280}, {"hydro-RK->copy", 1920},
+      {"hydro-RK->send", 144}, {"hydro-RK->unpack", 1080}, {"send", 144},
+      {"send->hydro-RK", 96}, {"send->send", 96}, {"unpack", 1080},
+      {"unpack->dt-reduce", 360}, {"unpack->hydro-RK", 720},
+      {"unpack->unpack", 720},
+  });
+  const shape_counts cluster_l2_serialized = with(sim_l2, {
+      {"#order", 2638}, {"copy->hydro-RK", 128}, {"hydro-RK->copy", 192},
       {"hydro-RK->send", 192}, {"hydro-RK->unpack", 2808}, {"send", 192},
       {"send->hydro-RK", 128}, {"send->send", 128}, {"unpack", 2808},
-      {"unpack->dt-reduce", 936}, {"unpack->hydro-RK", 3024},
+      {"unpack->dt-reduce", 936}, {"unpack->hydro-RK", 1872},
       {"unpack->unpack", 1872},
   });
-  const shape_counts cluster_l2_serialized = with(cluster_l2, {
-      {"#order", 2638}, {"unpack->hydro-RK", 1872},
-  });
   const shape_counts cluster_l3 = with(sim_l3, {
-      {"#order", 50662}, {"copy->hydro-RK", 544}, {"hydro-RK->copy", 816},
-      {"hydro-RK->send", 360}, {"hydro-RK->unpack", 4536},
-      {"prolong->unpack", 7008}, {"send", 360}, {"send->hydro-RK", 240},
-      {"send->send", 240}, {"unpack", 4536}, {"unpack->dt-reduce", 1512},
-      {"unpack->hydro-RK", 4992}, {"unpack->prolong", 10512},
-      {"unpack->unpack", 3024},
+      {"#order", 57550}, {"copy->hydro-RK", 2512}, {"hydro-RK->copy", 3768},
+      {"hydro-RK->send", 264}, {"hydro-RK->unpack", 1584},
+      {"prolong->unpack", 2448}, {"send", 264}, {"send->hydro-RK", 176},
+      {"send->send", 176}, {"unpack", 1584}, {"unpack->dt-reduce", 528},
+      {"unpack->hydro-RK", 1056}, {"unpack->prolong", 3672},
+      {"unpack->unpack", 1056},
   });
 
   expect_shape("rotating_star L2 simulation", sim_shape(2), sim_l2);

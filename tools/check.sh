@@ -5,7 +5,10 @@
 # dataflow step-graph shape (per-class task and edge counts), the bitwise
 # gravity kernel tests (monopole path == full pack, chunk invariance; these
 # hold on every build fingerprint), the SIMD ABI tests (lane-wise sqrt ==
-# std::sqrt bit for bit), plus clang-tidy over src/ when available.
+# std::sqrt bit for bit), the cluster bitwise equivalences (1/2/4/7
+# localities == the single process, local optimization on and off;
+# barrier == dataflow at 1 and 4 localities, with equal exchange
+# statistics), plus clang-tidy over src/ when available.
 # Run from anywhere:
 #
 #   tools/check.sh [BUILD_DIR]      # default build dir: ./build
@@ -41,6 +44,14 @@ cmake --build "$build_dir" --target golden_step_test race_audit_test \
 "$build_dir/tests/gravity_test" --gtest_brief=1 \
   --gtest_filter='GravityKernels.*:Chunks/ChunkInvariance.*'
 "$build_dir/tests/simd_test" --gtest_brief=1
+
+echo "== cluster bitwise: localities == single process, barrier == dataflow =="
+cmake --build "$build_dir" --target cluster_test dataflow_equivalence_test \
+  -- -j >/dev/null
+"$build_dir/tests/cluster_test" --gtest_brief=1 \
+  --gtest_filter='*/ClusterEquivalence.*'
+"$build_dir/tests/dataflow_equivalence_test" --gtest_brief=1 \
+  --gtest_filter='*/DataflowClusterEquivalence.*'
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy (bugprone/concurrency/performance) =="
